@@ -9,23 +9,18 @@ from .rng import RngStream
 from .stable_noise import (
     NoiseWeights,
     PowerLawRule,
-    StableSpec,
     convolution_scale,
-    cylindrical_increment,
     ecf,
     sample_standard_stable,
-    stable_cf,
 )
 from .spectral import (
     AdmissibilityReport,
     FieldState,
     SpectralOperator,
     admissibility,
-    fractional_power_apply,
     h_norm,
     hoelder_bound_check,
     rod_operator,
-    semigroup_apply,
     smoothing_bound_check,
 )
 from .switching import (
@@ -34,9 +29,6 @@ from .switching import (
     GeneratorMatrix,
     aggregate_generator,
     aggregate_path,
-    block_diagonal,
-    empirical_transition_rates,
-    mixing_decay_probe,
     occupation_fractions,
     simulate_chain,
     stationary_distribution,
@@ -45,9 +37,7 @@ from .drifts import (
     LinearRegimeDrift,
     SaturatingCoupledDrift,
     SaturatingRegimeDrift,
-    TableRegimeDrift,
     ZeroCoupledDrift,
-    verify_lipschitz,
 )
 from .engine import (
     MildStepPlan,
@@ -58,7 +48,6 @@ from .engine import (
     solve_averaged_spde,
     solve_fast_slow,
     solve_frozen_fast,
-    solve_switching_averaged_spde,
     solve_switching_spde,
     step_ou_mode,
 )
@@ -68,7 +57,6 @@ from .averaging import (
     ergodic_decay_probe,
     estimate_ergodic_drift,
     fit_decay_rate,
-    lipschitz_probe,
     make_class_averaged,
     make_nu_averaged,
     nu_average_drift,

@@ -160,20 +160,3 @@ def fit_decay_rate(t_grid, values) -> float:
         raise ValueError("need at least two positive values to fit a decay rate")
     slope, _ = np.polyfit(t[mask], np.log(v[mask]), 1)
     return float(-slope)
-
-
-def lipschitz_probe(fn, pairs) -> float:
-    """Max sampled difference quotient |f(z1) - f(z2)| / |z1 - z2| over pairs."""
-    worst = 0.0
-    seen = False
-    for z1, z2 in pairs:
-        z1 = np.asarray(z1, dtype=float)
-        z2 = np.asarray(z2, dtype=float)
-        dz = np.linalg.norm(z1 - z2)
-        if dz == 0:
-            raise ValueError("degenerate pair with identical inputs")
-        seen = True
-        worst = max(worst, float(np.linalg.norm(fn(z1) - fn(z2)) / dz))
-    if not seen:
-        raise ValueError("no sample pairs supplied")
-    return worst

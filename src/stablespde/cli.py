@@ -53,6 +53,9 @@ def _load(args):
         cfg.seed = args.seed
     elif os.environ.get(SEED_ENV_VAR):
         cfg.seed = int(os.environ[SEED_ENV_VAR])
+    if args.paths is not None:
+        cfg.n_paths = args.paths
+        cfg.validate()
     return cfg
 
 
@@ -61,8 +64,10 @@ def _say(args, msg: str) -> None:
         print(msg)
 
 
-def _checks_payload(report, checks):
+def _summary(cfg, report, checks):
+    """Config echo and condition report shared by every summary.json."""
     return {
+        "config": config_echo(cfg),
         "admissibility": {
             "delta_partial": report.delta_partial,
             "delta_tail_bound": report.delta_tail_bound,
@@ -82,8 +87,7 @@ def cmd_check(args) -> int:
     report, checks = harness.run_check(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {"config": config_echo(cfg), **_checks_payload(report, checks)}
-    harness.write_summary(out / "summary.json", payload)
+    harness.write_summary(out / "summary.json", _summary(cfg, report, checks))
     all_ok = all(c.passed for c in checks)
     for c in checks:
         _say(args, f"[{'PASS' if c.passed else 'FAIL'}] {c.name}  {c.detail}")
@@ -92,14 +96,12 @@ def cmd_check(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = _load(args)
-    table, sup_table, fit, notice = harness.run_converge(cfg, n_paths=args.paths)
+    checked, table, sup_table, fit, notice = harness.run_converge(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_csv(out / "converge.csv", "eps,p,error,se,n_paths", table.rows())
-    report, checks = harness.run_check(cfg)
     payload = {
-        "config": config_echo(cfg),
-        **_checks_payload(report, checks),
+        **_summary(cfg, *checked),
         "error_table": [list(r) for r in table.rows()],
         "sup_error_table": [list(r) for r in sup_table.rows()],
         "rate_fit": None
@@ -128,15 +130,14 @@ def cmd_converge(args) -> int:
 
 def cmd_freeze(args) -> int:
     cfg = _load(args)
-    rows, (t_grid, decay), stats = harness.run_freeze(cfg)
+    checked, rows, (t_grid, decay), stats = harness.run_freeze(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_csv(out / "freeze.csv", "z_id,component,bbar,se", rows)
     harness.write_csv(
         out / "freeze_decay.csv", "t,deviation", zip(map(float, t_grid), map(float, decay))
     )
-    report, checks = harness.run_check(cfg)
-    payload = {"config": config_echo(cfg), **_checks_payload(report, checks), **stats}
+    payload = {**_summary(cfg, *checked), **stats}
     harness.write_summary(out / "summary.json", payload)
     _say(args, f"decay rate {stats['decay_rate']:.4f}; y0 gap {stats['y0_gap_in_combined_se']:.2f} SE")
     return EXIT_OK
@@ -144,16 +145,14 @@ def cmd_freeze(args) -> int:
 
 def cmd_aggregate(args) -> int:
     cfg = _load(args)
-    qbar, rows, per_class = harness.run_aggregate(cfg)
+    checked, qbar, rows, per_class = harness.run_aggregate(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_csv(
         out / "aggregate.csv", "from_class,to_class,empirical_rate,qbar_rate", rows
     )
-    report, checks = harness.run_check(cfg)
     payload = {
-        "config": config_echo(cfg),
-        **_checks_payload(report, checks),
+        **_summary(cfg, *checked),
         "qbar": qbar.rates.tolist(),
         "per_class": per_class,
     }
@@ -165,7 +164,7 @@ def cmd_aggregate(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    rec = harness.run_simulate(cfg)
+    checked, rec = harness.run_simulate(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     k = rec.states.shape[1]
@@ -175,9 +174,7 @@ def cmd_simulate(args) -> int:
         for t, s in zip(rec.times, rec.states)
     )
     harness.write_csv(out / "simulate.csv", header, rows)
-    report, checks = harness.run_check(cfg)
-    payload = {"config": config_echo(cfg), **_checks_payload(report, checks)}
-    harness.write_summary(out / "summary.json", payload)
+    harness.write_summary(out / "summary.json", _summary(cfg, *checked))
     _say(args, f"wrote {rec.times.size} checkpoints to {out / 'simulate.csv'}")
     return EXIT_OK
 

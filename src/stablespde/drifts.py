@@ -3,8 +3,8 @@
 Two shapes of drift appear: regime drifts b(x, i) indexed by a finite chain
 state, and coupled drifts b(x, y) / f(x, y) taking a second field argument.
 Each drift declares its regularity constants (Lipschitz bounds, uniform bound,
-directional-derivative bounds); the declarations are upper bounds that can be
-spot-checked with randomized difference quotients via :func:`verify_lipschitz`.
+directional-derivative bounds) as upper bounds; ``harness.run_check`` reads
+them when it tests the standing assumptions of a configuration.
 
 The saturating nonlinearity is tanh: odd, bounded, 1-Lipschitz.
 """
@@ -70,23 +70,6 @@ class SaturatingRegimeDrift:
 
 
 @dataclass(frozen=True)
-class TableRegimeDrift:
-    """Arbitrary per-regime callables with declared Lipschitz constants (tests only)."""
-
-    funcs: tuple
-    lipschitz: np.ndarray
-
-    def __call__(self, x: np.ndarray, regime: int) -> np.ndarray:
-        return self.funcs[regime](x)
-
-    @property
-    def n_regimes(self) -> int:
-        return len(self.funcs)
-
-    bound = None
-
-
-@dataclass(frozen=True)
 class SaturatingCoupledDrift:
     """g(x, y) = gain_x * tanh(x) + gain_y * tanh(y) + offset.
 
@@ -124,18 +107,3 @@ class ZeroCoupledDrift:
 
     def bound_for(self, k_trunc: int) -> float:
         return 0.0
-
-
-def verify_lipschitz(fn, declared: float, k_trunc: int, rng, n_pairs: int = 200) -> bool:
-    """Spot-check a declared Lipschitz constant with randomized difference quotients."""
-    gen = rng.generator()
-    for _ in range(n_pairs):
-        x1 = gen.normal(size=k_trunc) * 3.0
-        x2 = x1 + gen.normal(size=k_trunc) * 0.5
-        dx = np.linalg.norm(x1 - x2)
-        if dx == 0:
-            continue
-        quot = np.linalg.norm(fn(x1) - fn(x2)) / dx
-        if quot > declared * (1 + 1e-9):
-            return False
-    return True

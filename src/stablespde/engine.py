@@ -7,12 +7,12 @@ exactly in law through its closed-form stable scale.  Chain jumps inside a
 step are resolved by sub-stepping the drift at the exact jump times; the noise
 term needs no refinement.
 
-Noise-stream convention (shared by every solver so that coupled runs on the
-same :class:`RngStream` see the identical driving noise):
+Noise-stream convention (each tag has one owner, so coupled runs on the same
+:class:`RngStream` see the identical driving noise):
 
-* substream 0 - slow-field noise L, one draw of k_trunc variates per grid step
-* substream 1 - internally simulated chains
-* substream 2 - fast-field noise Z
+* substream 0 - slow-field noise L, k_trunc variates per grid step: slow solves
+* substream ``CHAIN_TAG`` = 1 - the switching chain: simulated by the harness
+* substream 2 - fast-field noise Z: solve_frozen_fast and solve_fast_slow
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ import numpy as np
 from .rng import RngStream
 from .spectral import FieldState, SpectralOperator
 from .stable_noise import NoiseWeights, convolution_scale, sample_standard_stable
-from .switching import ChainPath, GeneratorMatrix, simulate_chain
+from .switching import ChainPath
 
 _L_NOISE_TAG = 0
-_CHAIN_TAG = 1
+CHAIN_TAG = 1
 _Z_NOISE_TAG = 2
 
 
@@ -95,6 +95,45 @@ def _drift_substep(x, lam, t0: float, t1: float, chain: ChainPath, drift):
     return x
 
 
+def _mild_solve(
+    x0: FieldState,
+    drift,
+    op: SpectralOperator,
+    weights: NoiseWeights,
+    alpha: float,
+    grid,
+    rng: RngStream,
+    chain: ChainPath | None = None,
+) -> TrajectoryRecord:
+    """The exponential-Euler loop shared by every single-field solve.
+
+    ``rng`` is the noise substream itself.  Without a chain ``drift`` maps
+    state to state; with one it is called as drift(x, regime) and sub-steps at
+    the chain's jump times.
+    """
+    grid = _check_grid(grid)
+    if chain is not None and grid[-1] > chain.horizon:
+        raise ValueError("time grid exceeds the chain horizon")
+    x = np.asarray(x0, dtype=float).copy()
+    if x.size != op.k_trunc:
+        raise ValueError("initial state length must match the truncation level")
+    gen = rng.generator()
+    out = np.empty((grid.size, x.size))
+    out[0] = x
+    plan = None
+    for i in range(grid.size - 1):
+        t0, t1 = grid[i], grid[i + 1]
+        if plan is None or plan.dt != t1 - t0:
+            plan = make_step_plan(op, weights, alpha, t1 - t0)
+        noise = sample_standard_stable(alpha, gen, size=x.size)
+        if chain is None:
+            x = step_ou_mode(x, drift(x), plan, noise)
+        else:
+            x = _drift_substep(x, op.eigenvalues, t0, t1, chain, drift) + plan.conv_scale * noise
+        out[i + 1] = x
+    return TrajectoryRecord(grid, out, chain=chain)
+
+
 def solve_switching_spde(
     x0: FieldState,
     drift,
@@ -109,23 +148,7 @@ def solve_switching_spde(
 
     ``drift`` is called as drift(x, regime).
     """
-    grid = _check_grid(grid)
-    if grid[-1] > chain.horizon:
-        raise ValueError("time grid exceeds the chain horizon")
-    lam = op_a.eigenvalues
-    gen = rng.substream(_L_NOISE_TAG).generator()
-    x = np.asarray(x0, dtype=float).copy()
-    if x.size != op_a.k_trunc:
-        raise ValueError("initial state length must match the truncation level")
-    out = np.empty((grid.size, x.size))
-    out[0] = x
-    for i in range(grid.size - 1):
-        t0, t1 = grid[i], grid[i + 1]
-        x = _drift_substep(x, lam, t0, t1, chain, drift)
-        scale = convolution_scale(w_l.weights, lam, alpha, t1 - t0)
-        x = x + scale * sample_standard_stable(alpha, gen, size=x.size)
-        out[i + 1] = x
-    return TrajectoryRecord(grid, out, chain=chain)
+    return _mild_solve(x0, drift, op_a, w_l, alpha, grid, rng.substream(_L_NOISE_TAG), chain)
 
 
 def solve_averaged_spde(
@@ -138,51 +161,7 @@ def solve_averaged_spde(
     rng: RngStream,
 ) -> TrajectoryRecord:
     """Mild stepper for the averaged field; ``averaged_drift`` maps state to state."""
-    grid = _check_grid(grid)
-    gen = rng.substream(_L_NOISE_TAG).generator()
-    lam = op_a.eigenvalues
-    x = np.asarray(x0, dtype=float).copy()
-    out = np.empty((grid.size, x.size))
-    out[0] = x
-    plan = None
-    for i in range(grid.size - 1):
-        dt = grid[i + 1] - grid[i]
-        if plan is None or plan.dt != dt:
-            plan = make_step_plan(op_a, w_l, alpha, dt)
-        noise = sample_standard_stable(alpha, gen, size=x.size)
-        x = step_ou_mode(x, averaged_drift(x), plan, noise)
-        out[i + 1] = x
-    return TrajectoryRecord(grid, out)
-
-
-def solve_switching_averaged_spde(
-    x0: FieldState,
-    class_drift,
-    op_a: SpectralOperator,
-    w_l: NoiseWeights,
-    alpha: float,
-    qbar: GeneratorMatrix,
-    grid,
-    rng: RngStream,
-    chain: ChainPath | None = None,
-) -> TrajectoryRecord:
-    """Averaged field modulated by the limit class chain.
-
-    ``class_drift`` is called as class_drift(x, class_index).  If no chain path
-    is supplied, the limit chain is simulated from ``qbar`` on a derived
-    substream (the class of index 0 is the initial state).
-    """
-    grid = _check_grid(grid)
-    if chain is None:
-        chain = simulate_chain(
-            GeneratorMatrix.zero(qbar.n_states),
-            qbar,
-            1.0,
-            0,
-            float(grid[-1]),
-            rng.substream(_CHAIN_TAG),
-        )
-    return solve_switching_spde(x0, class_drift, op_a, w_l, alpha, chain, grid, rng)
+    return _mild_solve(x0, averaged_drift, op_a, w_l, alpha, grid, rng.substream(_L_NOISE_TAG))
 
 
 def solve_frozen_fast(
@@ -198,22 +177,10 @@ def solve_frozen_fast(
     """Fast field with the slow variable frozen at ``z`` (no time-scale factor)."""
     if fast_drift.grad_y_bound >= op_b.lambda_1:
         raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
-    grid = _check_grid(grid)
-    gen = rng.substream(_Z_NOISE_TAG).generator()
-    mu = op_b.eigenvalues
     z = np.asarray(z, dtype=float)
-    y = np.asarray(y0, dtype=float).copy()
-    out = np.empty((grid.size, y.size))
-    out[0] = y
-    plan = None
-    for i in range(grid.size - 1):
-        dt = grid[i + 1] - grid[i]
-        if plan is None or plan.dt != dt:
-            plan = make_step_plan(op_b, w_z, beta, dt)
-        noise = sample_standard_stable(beta, gen, size=y.size)
-        y = step_ou_mode(y, fast_drift(z, y), plan, noise)
-        out[i + 1] = y
-    return TrajectoryRecord(grid, out)
+    return _mild_solve(
+        y0, lambda y: fast_drift(z, y), op_b, w_z, beta, grid, rng.substream(_Z_NOISE_TAG)
+    )
 
 
 def fast_substep_factors(

@@ -26,17 +26,12 @@ from .averaging import (
     make_nu_averaged,
 )
 from .config import ExperimentConfig
-from .engine import (
-    solve_averaged_spde,
-    solve_fast_slow,
-    solve_switching_spde,
-)
+from .engine import CHAIN_TAG, solve_averaged_spde, solve_fast_slow, solve_switching_spde
 from .rng import RngStream
-from .spectral import admissibility, h_norm
+from .spectral import admissibility
 from .switching import (
     aggregate_generator,
     aggregate_path,
-    block_diagonal,
     occupation_fractions,
     simulate_chain,
     stationary_distribution,
@@ -210,52 +205,6 @@ def _checkpoint_idx(grid: np.ndarray, n_checkpoints: int) -> np.ndarray:
     return np.unique(np.linspace(1, grid.size - 1, n_checkpoints).astype(int))
 
 
-def _converge_switching_single(cfg, eps, grid, chk):
-    qt, qh = cfg.generator_pair()
-    drift = cfg.regime_drift()
-    nu = stationary_distribution(qt)
-    averaged = make_nu_averaged(drift, nu)
-    op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
-    r0 = cfg.r0 - 1
-
-    def one_path(j: int) -> tuple[float, float]:
-        rng = RngStream(cfg.seed, j)
-        chain = simulate_chain(qt, qh, eps, r0, cfg.T, rng.substream(1))
-        rec_eps = solve_switching_spde(x0, drift, op_a, w_l, cfg.alpha, chain, grid, rng)
-        rec_bar = solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, rng)
-        diff = rec_eps.states - rec_bar.states
-        norms = np.linalg.norm(diff[chk], axis=1)
-        return float(norms[-1]), float(norms.max())
-
-    return one_path
-
-
-def _converge_switching_multiclass(cfg, eps, grid, chk):
-    qt, qh = cfg.generator_pair()
-    part = cfg.class_partition()
-    blocks = cfg.qtilde_blocks()
-    drift = cfg.regime_drift()
-    mu_blocks = [stationary_distribution(b) for b in blocks]
-    class_drift = make_class_averaged(drift, part, mu_blocks)
-    op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
-    r0 = cfg.r0 - 1
-
-    def one_path(j: int) -> tuple[float, float]:
-        rng = RngStream(cfg.seed, j)
-        chain = simulate_chain(qt, qh, eps, r0, cfg.T, rng.substream(1))
-        rec_eps = solve_switching_spde(x0, drift, op_a, w_l, cfg.alpha, chain, grid, rng)
-        # the averaged equation rides the aggregated chain of the same path:
-        # a concrete coupling of the limit chain, as the class process of the
-        # eps-chain converges weakly to it
-        agg = aggregate_path(chain, part)
-        rec_bar = solve_switching_spde(x0, class_drift, op_a, w_l, cfg.alpha, agg, grid, rng)
-        diff = rec_eps.states - rec_bar.states
-        norms = np.linalg.norm(diff[chk], axis=1)
-        return float(norms[-1]), float(norms.max())
-
-    return one_path
-
-
 def averaged_fast_slow_drift(cfg: ExperimentConfig, rng: RngStream):
     """Averaged slow drift for the fast-slow scenario.
 
@@ -285,58 +234,73 @@ def averaged_fast_slow_drift(cfg: ExperimentConfig, rng: RngStream):
     return averaged, m, se
 
 
-def _converge_fast_slow(cfg, eps, grid, chk, averaged):
-    op_a, op_b = cfg.op_a(), cfg.op_b()
-    w_l, w_z = cfg.weights_l(), cfg.weights_z()
-    x0, y0 = cfg.initial_state(), cfg.initial_fast_state()
-    slow, fast = cfg.slow_coupled_drift(), cfg.fast_coupled_drift()
-
-    def one_path(j: int) -> tuple[float, float]:
-        rng = RngStream(cfg.seed, j)
-        rec_eps = solve_fast_slow(
+def _eps_system(cfg: ExperimentConfig, grid: np.ndarray):
+    """solve(eps, rng): one path of the configured eps-system on the path's stream."""
+    op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
+    if cfg.scenario == "fast-slow":
+        y0, op_b, w_z = cfg.initial_fast_state(), cfg.op_b(), cfg.weights_z()
+        slow, fast = cfg.slow_coupled_drift(), cfg.fast_coupled_drift()
+        return lambda eps, rng: solve_fast_slow(
             x0, y0, slow, fast, op_a, op_b, w_l, w_z, cfg.alpha, cfg.beta, eps, grid, rng,
             c_sub=cfg.c_sub,
         )
-        rec_bar = solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, rng)
-        diff = rec_eps.states - rec_bar.states
+    qt, qh = cfg.generator_pair()
+    drift = cfg.regime_drift()
+
+    def solve(eps, rng):
+        chain = simulate_chain(qt, qh, eps, cfg.r0 - 1, cfg.T, rng.substream(CHAIN_TAG))
+        return solve_switching_spde(x0, drift, op_a, w_l, cfg.alpha, chain, grid, rng)
+
+    return solve
+
+
+def _averaged_system(cfg: ExperimentConfig, grid: np.ndarray):
+    """solve(rec, rng): the averaged limit coupled to the eps-system record ``rec``."""
+    op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
+    if cfg.scenario == "switching-multiclass":
+        part = cfg.class_partition()
+        mu_blocks = [stationary_distribution(b) for b in cfg.qtilde_blocks()]
+        class_drift = make_class_averaged(cfg.regime_drift(), part, mu_blocks)
+        # the averaged equation rides the aggregated chain of the same path:
+        # a concrete coupling of the limit chain, as the class process of the
+        # eps-chain converges weakly to it
+        return lambda rec, rng: solve_switching_spde(
+            x0, class_drift, op_a, w_l, cfg.alpha, aggregate_path(rec.chain, part), grid, rng
+        )
+    if cfg.scenario == "switching-single":
+        nu = stationary_distribution(cfg.generator_pair()[0])
+        averaged = make_nu_averaged(cfg.regime_drift(), nu)
+    else:
+        averaged, _, _ = averaged_fast_slow_drift(cfg, RngStream(cfg.seed, _ESTIMATOR_STREAM))
+    return lambda rec, rng: solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, rng)
+
+
+def run_converge(cfg: ExperimentConfig):
+    """Coupled eps-sweep.
+
+    Returns ((report, checks), ErrorTable, checkpoint ErrorTable, RateFit|None, notice).
+    """
+    report, checks = run_check(cfg)
+    require_pass(checks)
+    grid = _time_grid(cfg)
+    chk = _checkpoint_idx(grid, cfg.checkpoints)
+    solve_eps, solve_bar = _eps_system(cfg, grid), _averaged_system(cfg, grid)
+
+    def pair_norms(eps, j: int) -> tuple[float, float]:
+        """Terminal and checkpoint-sup H-norm of one coupled pair's difference."""
+        rng = RngStream(cfg.seed, j)
+        rec_eps = solve_eps(eps, rng)
+        diff = rec_eps.states - solve_bar(rec_eps, rng).states
         norms = np.linalg.norm(diff[chk], axis=1)
         return float(norms[-1]), float(norms.max())
 
-    return one_path
-
-
-def run_converge(cfg: ExperimentConfig, n_paths: int | None = None):
-    """Coupled eps-sweep; returns (ErrorTable, checkpoint ErrorTable, RateFit|None, notice)."""
-    report, checks = run_check(cfg)
-    require_pass(checks)
-    n_paths = n_paths or cfg.n_paths
-    grid = _time_grid(cfg)
-    chk = _checkpoint_idx(grid, cfg.checkpoints)
-
-    averaged = None
-    if cfg.scenario == "fast-slow":
-        averaged, _, _ = averaged_fast_slow_drift(cfg, RngStream(cfg.seed, _ESTIMATOR_STREAM))
-
-    terminal_errs, terminal_ses = [], []
-    sup_errs, sup_ses = [], []
-    for eps in cfg.eps_grid:
-        if cfg.scenario == "switching-single":
-            one_path = _converge_switching_single(cfg, eps, grid, chk)
-        elif cfg.scenario == "switching-multiclass":
-            one_path = _converge_switching_multiclass(cfg, eps, grid, chk)
-        else:
-            one_path = _converge_fast_slow(cfg, eps, grid, chk, averaged)
-        results = np.array([one_path(j) for j in range(n_paths)])
-        err, se = p_moment(results[:, 0], cfg.p, cfg.n_batches)
-        terminal_errs.append(err)
-        terminal_ses.append(se)
-        err_s, se_s = p_moment(results[:, 1], cfg.p, cfg.n_batches)
-        sup_errs.append(err_s)
-        sup_ses.append(se_s)
-
+    results = np.array([[pair_norms(eps, j) for j in range(cfg.n_paths)] for eps in cfg.eps_grid])
     eps_arr = np.asarray(cfg.eps_grid, dtype=float)
-    table = ErrorTable(eps_arr, cfg.p, np.array(terminal_errs), np.array(terminal_ses), n_paths)
-    sup_table = ErrorTable(eps_arr, cfg.p, np.array(sup_errs), np.array(sup_ses), n_paths)
+    tables = []
+    for column in (0, 1):  # terminal error, checkpoint-sup error
+        moments = np.array([p_moment(r[:, column], cfg.p, cfg.n_batches) for r in results])
+        tables.append(ErrorTable(eps_arr, cfg.p, moments[:, 0], moments[:, 1], cfg.n_paths))
+    table, sup_table = tables
 
     theo = theoretical_rate_exponent(cfg.alpha, cfg.p, cfg.theta)
     fit, notice = None, ""
@@ -346,7 +310,7 @@ def run_converge(cfg: ExperimentConfig, n_paths: int | None = None):
         notice = "rate fit refused: nonpositive errors in the table"
     else:
         fit = rate_fit(table, theo)
-    return table, sup_table, fit, notice
+    return (report, checks), table, sup_table, fit, notice
 
 
 def monotone_with_inversions(table: ErrorTable, se_factor: float = 2.0) -> tuple[bool, int]:
@@ -373,7 +337,10 @@ def monotone_with_inversions(table: ErrorTable, se_factor: float = 2.0) -> tuple
 
 
 def run_freeze(cfg: ExperimentConfig):
-    """Averaged-drift estimates over a grid of slow states, plus the decay probe."""
+    """Averaged-drift estimates over a grid of slow states, plus the decay probe.
+
+    Returns ((report, checks), rows, (t_grid, decay), stats).
+    """
     report, checks = run_check(cfg)
     require_pass(checks)
     op_b, w_z = cfg.op_b(), cfg.weights_z()
@@ -415,7 +382,8 @@ def run_freeze(cfg: ExperimentConfig):
         RngStream(cfg.seed, _ESTIMATOR_STREAM + 60), bbar=est_a,
     )
     rate = fit_decay_rate(t_grid, decay)
-    return rows, (t_grid, decay), {"y0_gap_in_combined_se": y0_gap_in_se, "decay_rate": rate}
+    stats = {"y0_gap_in_combined_se": y0_gap_in_se, "decay_rate": rate}
+    return (report, checks), rows, (t_grid, decay), stats
 
 
 def run_aggregate(cfg: ExperimentConfig):
@@ -423,7 +391,8 @@ def run_aggregate(cfg: ExperimentConfig):
 
     Pools transition counts and occupation times over ``n_paths`` independent
     chains (equivalent to one chain of horizon n_paths * T), which tightens the
-    empirical-rate estimate without changing eps.
+    empirical-rate estimate without changing eps.  Returns
+    ((report, checks), Qbar, rows, per_class).
     """
     report, checks = run_check(cfg)
     require_pass(checks)
@@ -437,7 +406,7 @@ def run_aggregate(cfg: ExperimentConfig):
     occ = np.zeros(qt.n_states)
     for j in range(cfg.n_paths):
         chain = simulate_chain(
-            qt, qh, eps, cfg.r0 - 1, cfg.T, RngStream(cfg.seed, j).substream(1)
+            qt, qh, eps, cfg.r0 - 1, cfg.T, RngStream(cfg.seed, j).substream(CHAIN_TAG)
         )
         agg = aggregate_path(chain, part)
         np.add.at(counts, (agg.states[:-1], agg.states[1:]), 1.0)
@@ -459,37 +428,18 @@ def run_aggregate(cfg: ExperimentConfig):
             "within_class_empirical": (blk_occ / total).tolist() if total > 0 else None,
             "within_class_stationary": mu.tolist(),
         }
-    return qbar, rows, per_class
+    return (report, checks), qbar, rows, per_class
 
 
 def run_simulate(cfg: ExperimentConfig):
-    """One seeded trajectory of the configured scenario, for inspection."""
+    """One seeded trajectory of the configured scenario, for inspection.
+
+    Returns ((report, checks), TrajectoryRecord).
+    """
     report, checks = run_check(cfg)
     require_pass(checks)
-    grid = _time_grid(cfg)
-    rng = RngStream(cfg.seed, 0)
-    if cfg.scenario == "switching-single":
-        qt, qh = cfg.generator_pair()
-        chain = simulate_chain(qt, qh, cfg.eps_grid[0], cfg.r0 - 1, cfg.T, rng.substream(1))
-        rec = solve_switching_spde(
-            cfg.initial_state(), cfg.regime_drift(), cfg.op_a(), cfg.weights_l(), cfg.alpha,
-            chain, grid, rng,
-        )
-    elif cfg.scenario == "switching-multiclass":
-        qt, qh = cfg.generator_pair()
-        chain = simulate_chain(qt, qh, cfg.eps_grid[0], cfg.r0 - 1, cfg.T, rng.substream(1))
-        rec = solve_switching_spde(
-            cfg.initial_state(), cfg.regime_drift(), cfg.op_a(), cfg.weights_l(), cfg.alpha,
-            chain, grid, rng,
-        )
-    else:
-        rec = solve_fast_slow(
-            cfg.initial_state(), cfg.initial_fast_state(),
-            cfg.slow_coupled_drift(), cfg.fast_coupled_drift(),
-            cfg.op_a(), cfg.op_b(), cfg.weights_l(), cfg.weights_z(),
-            cfg.alpha, cfg.beta, cfg.eps_grid[0], grid, rng, c_sub=cfg.c_sub,
-        )
-    return rec
+    solve_eps = _eps_system(cfg, _time_grid(cfg))
+    return (report, checks), solve_eps(cfg.eps_grid[0], RngStream(cfg.seed, 0))
 
 
 def synthesize_point(coeffs: np.ndarray, x: float) -> float:

@@ -53,18 +53,6 @@ def rod_operator(k_trunc: int) -> SpectralOperator:
     return SpectralOperator.from_rule(PowerLawRule(1.0, 2.0), k_trunc)
 
 
-def semigroup_apply(op: SpectralOperator, t: float, x: FieldState) -> FieldState:
-    """Apply the contraction semigroup: (exp(-lam_k t) x_k)_k."""
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    return np.exp(-op.eigenvalues * t) * np.asarray(x, dtype=float)
-
-
-def fractional_power_apply(op: SpectralOperator, theta: float, x: FieldState) -> FieldState:
-    """Apply the fractional power: (lam_k^theta x_k)_k.  Negative theta allowed."""
-    return op.eigenvalues**theta * np.asarray(x, dtype=float)
-
-
 def smoothing_bound_check(op: SpectralOperator, delta: float, t_grid) -> bool:
     """Check max_k lam_k^delta exp(-lam_k t) <= (delta/e)^delta t^-delta on the grid.
 
@@ -112,7 +100,6 @@ class AdmissibilityReport:
 
     delta_partial: float
     delta_tail_bound: float | None
-    kappa1_partial: float
     kappa2_partial: float | None
     kappa2_tail_bound: float | None
     theta: float
@@ -180,7 +167,6 @@ def admissibility(
     return AdmissibilityReport(
         delta_partial=delta_partial,
         delta_tail_bound=delta_tail,
-        kappa1_partial=delta_partial,
         kappa2_partial=kappa2_partial,
         kappa2_tail_bound=kappa2_tail,
         theta=theta,

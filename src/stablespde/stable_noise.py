@@ -1,4 +1,4 @@
-"""Symmetric alpha-stable variates and cylindrical stable-process increments.
+"""Symmetric alpha-stable variates and the exact scales of stable convolutions.
 
 The scalar sampler uses the Chambers-Mallows-Stuck transform restricted to the
 symmetric standard family with stability index in (1, 2]; at index 2 the law
@@ -12,19 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream
-
-
-@dataclass(frozen=True)
-class StableSpec:
-    """Symmetric stable law with characteristic function exp(-scale^alpha |u|^alpha)."""
-
-    alpha: float
-    scale: float = 1.0
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -94,30 +81,10 @@ def sample_standard_stable(alpha, rng, size=None):
     )
 
 
-def stable_cf(spec: StableSpec, u):
-    """Characteristic function of the symmetric stable law (real-valued)."""
-    return np.exp(-(spec.scale**spec.alpha) * np.abs(u) ** spec.alpha) + 0j
-
-
 def ecf(samples: np.ndarray, u) -> np.ndarray:
     """Empirical characteristic function mean(exp(i*u*X)) on a grid of u."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     return np.exp(1j * np.outer(u, samples)).mean(axis=1)
-
-
-def cylindrical_increment(weights: NoiseWeights, alpha: float, h: float, rng) -> np.ndarray:
-    """Coefficient vector of L(t+h) - L(t) on the first k_trunc modes.
-
-    Self-similarity gives the exact law beta_k * h^(1/alpha) * xi_k with xi_k
-    i.i.d. standard symmetric alpha-stable.
-    """
-    _check_alpha(alpha)
-    if h < 0:
-        raise ValueError("increment length must be nonnegative")
-    if h == 0:
-        return np.zeros(weights.k_trunc)
-    xi = sample_standard_stable(alpha, rng, size=weights.k_trunc)
-    return weights.weights * h ** (1.0 / alpha) * xi
 
 
 def convolution_scale(beta_k, lambda_k, alpha: float, h: float):

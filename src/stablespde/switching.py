@@ -7,10 +7,9 @@ skeleton it produces is consumed directly by the SPDE steppers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .rng import RngStream
 
@@ -140,18 +139,6 @@ def aggregate_generator(
     return GeneratorMatrix(mu_tilde @ qhat.rates @ ones)
 
 
-def block_diagonal(blocks: list[GeneratorMatrix]) -> GeneratorMatrix:
-    """Stack per-class generators into one block-diagonal fast generator."""
-    n = sum(b.n_states for b in blocks)
-    q = np.zeros((n, n))
-    pos = 0
-    for b in blocks:
-        m = b.n_states
-        q[pos : pos + m, pos : pos + m] = b.rates
-        pos += m
-    return GeneratorMatrix(q)
-
-
 def simulate_chain(
     qtilde: GeneratorMatrix,
     qhat: GeneratorMatrix,
@@ -217,37 +204,3 @@ def occupation_fractions(path: ChainPath, n: int) -> np.ndarray:
     out = np.zeros(n)
     np.add.at(out, path.states, durations)
     return out / path.horizon
-
-
-def empirical_transition_rates(path: ChainPath, n: int) -> np.ndarray:
-    """Empirical generator estimate: counts(i->j) / time spent in i."""
-    occ = occupation_fractions(path, n) * path.horizon
-    counts = np.zeros((n, n))
-    np.add.at(counts, (path.states[:-1], path.states[1:]), 1.0)
-    rates = np.zeros((n, n))
-    nz = occ > 0
-    rates[nz] = counts[nz] / occ[nz, None]
-    np.fill_diagonal(rates, 0.0)
-    np.fill_diagonal(rates, -rates.sum(axis=1))
-    return rates
-
-
-def mixing_decay_probe(
-    qtilde: GeneratorMatrix,
-    qhat: GeneratorMatrix,
-    eps: float,
-    t_grid,
-) -> np.ndarray:
-    """Max-norm distance of the transition matrix from its stationary projector.
-
-    Evaluates ||exp(t Q_eps) - 1 nu||_inf over the grid by scaling-and-squaring
-    matrix exponentials; nu is the stationary law of Qtilde.
-    """
-    nu = stationary_distribution(qtilde)
-    q = qtilde.rates / eps + qhat.rates
-    limit = np.outer(np.ones(q.shape[0]), nu)
-    out = np.empty(len(np.atleast_1d(t_grid)))
-    for i, t in enumerate(np.atleast_1d(t_grid)):
-        p = expm(q * t)
-        out[i] = np.max(np.abs(p - limit).sum(axis=1))
-    return out

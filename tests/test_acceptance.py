@@ -130,7 +130,7 @@ def test_criterion_5_chain_ergodics():
     occ_gap = float(np.max(np.abs(occ - 0.5)))
 
     cfg = load_config(CONFIG_DIR / "aggregate.cfg")
-    qbar, rows, _ = run_aggregate(cfg)
+    _, qbar, rows, _ = run_aggregate(cfg)
     rel = max(abs(emp - theo) / abs(theo) for _, _, emp, theo in rows)
     ok = occ_gap < 0.02 and rel < 0.10
     report(
@@ -143,7 +143,7 @@ def test_criterion_5_chain_ergodics():
 
 def test_criterion_6_single_class_averaging_rate():
     cfg = load_config(CONFIG_DIR / "switching_single.cfg")
-    table, _, fit, _ = run_converge(cfg)
+    _, table, _, fit, _ = run_converge(cfg)
     mono_ok, inversions = monotone_with_inversions(table, se_factor=2.0)
     ok = mono_ok and fit is not None and fit.slope > 0.05 and fit.r_squared > 0.6
     report(
@@ -158,7 +158,7 @@ def test_criterion_6_single_class_averaging_rate():
 def test_criterion_7_multiclass_averaging():
     cfg = load_config(CONFIG_DIR / "switching_multiclass.cfg")
     cfg.eps_grid = [0.1, 0.02, 0.005]
-    table, _, _, _ = run_converge(cfg)
+    _, table, _, _, _ = run_converge(cfg)
     gap = table.errors[0] - table.errors[-1]
     band = 3.0 * math.hypot(table.ses[0], table.ses[-1])
     ok = gap > band
@@ -172,7 +172,7 @@ def test_criterion_7_multiclass_averaging():
 
 def test_criterion_8_fast_slow_averaging():
     cfg = load_config(CONFIG_DIR / "fast_slow.cfg")
-    table, _, _, _ = run_converge(cfg)
+    _, table, _, _, _ = run_converge(cfg)
     decreasing = bool(np.all(np.diff(table.errors) < 0))
     gap = table.errors[0] - table.errors[-1]
     band = 3.0 * math.hypot(table.ses[0], table.ses[-1])

@@ -14,7 +14,6 @@ from stablespde import (
     ergodic_decay_probe,
     estimate_ergodic_drift,
     fit_decay_rate,
-    lipschitz_probe,
     make_class_averaged,
     make_nu_averaged,
     nu_average_drift,
@@ -178,26 +177,3 @@ def test_fit_decay_rate_exact_exponential():
 def test_fit_decay_rate_needs_positive_values():
     with pytest.raises(ValueError):
         fit_decay_rate([0.0, 1.0, 2.0], [0.0, 0.0, 1.0])
-
-
-def test_lipschitz_probe_linear_exact():
-    # averaged linear drift: the quotient is exactly |sum_i nu_i c_i|
-    drift = LinearRegimeDrift(np.array([1.0, 3.0]))
-    avg = make_nu_averaged(drift, np.array([1 / 3, 2 / 3]))
-    gen = np.random.default_rng(0)
-    pairs = [(gen.normal(size=3), gen.normal(size=3)) for _ in range(50)]
-    assert lipschitz_probe(avg, pairs) == pytest.approx(7.0 / 3.0, rel=1e-12)
-
-
-def test_lipschitz_probe_saturating_bounded_by_gain():
-    fast = SaturatingCoupledDrift(0.0, 0.5)
-    gen = np.random.default_rng(1)
-    pairs = [(gen.normal(size=2), gen.normal(size=2)) for _ in range(100)]
-    assert lipschitz_probe(lambda y: fast(np.zeros(2), y), pairs) <= 0.5 + 1e-12
-
-
-def test_lipschitz_probe_rejects_degenerate_pairs():
-    with pytest.raises(ValueError):
-        lipschitz_probe(lambda z: z, [(np.ones(2), np.ones(2))])
-    with pytest.raises(ValueError):
-        lipschitz_probe(lambda z: z, [])

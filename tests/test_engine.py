@@ -22,7 +22,6 @@ from stablespde import (
     solve_averaged_spde,
     solve_fast_slow,
     solve_frozen_fast,
-    solve_switching_averaged_spde,
     solve_switching_spde,
     step_ou_mode,
 )
@@ -153,18 +152,6 @@ def test_constant_drift_difference_is_noise_free():
         - solve_averaged_spde(x0, d2, OP3, quiet, 1.5, grid, rng).states
     )
     assert np.max(np.abs(diff_noisy - diff_quiet)) <= 1e-12
-
-
-def test_switching_averaged_reduces_to_averaged_for_single_class():
-    grid = np.linspace(0.0, 1.0, 11)
-    x0 = np.ones(3)
-    qbar = GeneratorMatrix(np.array([[0.0]]))
-    rng = RngStream(9, 0)
-    rec = solve_switching_averaged_spde(
-        x0, lambda x, i: 0.3 * x, OP3, W3, 1.5, qbar, grid, rng
-    )
-    ref = solve_averaged_spde(x0, lambda x: 0.3 * x, OP3, W3, 1.5, grid, rng)
-    assert np.array_equal(rec.states, ref.states)
 
 
 def test_fast_substep_scale_independent_of_eps():

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stablespde
 from stablespde import cli
 from stablespde.config import parse_config
 from stablespde.harness import (
@@ -149,7 +155,8 @@ def test_converge_point_mass_drift_errors_vanish():
             "[0.3, 0.9]", "[0.5]"
         )
     )
-    table, sup_table, fit, notice = run_converge(cfg, n_paths=8)
+    cfg.n_paths = 8
+    _, table, sup_table, fit, notice = run_converge(cfg)
     assert np.max(table.errors) <= 1e-12
     assert np.max(sup_table.errors) <= 1e-12
     assert fit is None
@@ -158,7 +165,8 @@ def test_converge_point_mass_drift_errors_vanish():
 
 def test_converge_degenerate_grid_refuses_fit():
     cfg = parse_config(SMALL_SWITCHING.replace("[0.1, 0.05, 0.02]", "[0.1]"))
-    table, _, fit, notice = run_converge(cfg, n_paths=8)
+    cfg.n_paths = 8
+    _, table, _, fit, notice = run_converge(cfg)
     assert table.errors.size == 1
     assert fit is None
     assert "fewer than 3" in notice
@@ -166,8 +174,8 @@ def test_converge_degenerate_grid_refuses_fit():
 
 def test_converge_switching_table_shape_and_determinism():
     cfg = parse_config(SMALL_SWITCHING)
-    t1, s1, fit, _ = run_converge(cfg)
-    t2, _, _, _ = run_converge(cfg)
+    _, t1, s1, fit, _ = run_converge(cfg)
+    _, t2, _, _, _ = run_converge(cfg)
     assert np.array_equal(t1.errors, t2.errors)
     assert np.array_equal(t1.ses, t2.ses)
     assert t1.errors.size == 3
@@ -178,7 +186,7 @@ def test_converge_switching_table_shape_and_determinism():
 
 def test_converge_fast_slow_runs():
     cfg = parse_config(SMALL_FAST_SLOW)
-    table, _, fit, _ = run_converge(cfg)
+    _, table, _, fit, _ = run_converge(cfg)
     assert np.all(table.errors > 0)
     assert fit is not None
 
@@ -188,7 +196,7 @@ def test_freeze_constant_observable_exact():
     cfg = parse_config(
         SMALL_FAST_SLOW + "\nslow_gain_x = 0.0\nslow_gain_y = 0.0\nslow_offset = 0.7\n"
     )
-    rows, (t_grid, decay), stats = run_freeze(cfg)
+    _, rows, (t_grid, decay), stats = run_freeze(cfg)
     assert {r[0] for r in rows} == {0, 1, 2}
     for _, _, bbar, se in rows:
         assert bbar == pytest.approx(0.7, abs=1e-12)
@@ -198,7 +206,7 @@ def test_freeze_constant_observable_exact():
 
 def test_freeze_estimates_insensitive_to_y0():
     cfg = parse_config(SMALL_FAST_SLOW)
-    rows, (t_grid, decay), stats = run_freeze(cfg)
+    _, rows, (t_grid, decay), stats = run_freeze(cfg)
     assert stats["y0_gap_in_combined_se"] < 3.0
     assert stats["decay_rate"] > 0
     assert len(rows) == 3 * cfg.k_trunc
@@ -219,7 +227,7 @@ def test_aggregate_singleton_classes_recover_qhat():
         drift_coeffs = [0.2, 0.4]
         """
     )
-    qbar, rows, per_class = run_aggregate(cfg)
+    _, qbar, rows, per_class = run_aggregate(cfg)
     assert np.allclose(qbar.rates, [[-0.8, 0.8], [0.5, -0.5]], atol=1e-14)
     for _, _, emp, theo in rows:
         assert emp == pytest.approx(theo, rel=0.2)
@@ -239,7 +247,7 @@ def test_aggregate_zero_qhat_constant_class():
         drift_coeffs = [0.2, 0.4]
         """
     )
-    qbar, rows, per_class = run_aggregate(cfg)
+    _, qbar, rows, per_class = run_aggregate(cfg)
     assert qbar.rates.shape == (1, 1)
     assert rows == []
     assert per_class["1"]["occupation"] == pytest.approx(1.0)
@@ -247,7 +255,7 @@ def test_aggregate_zero_qhat_constant_class():
 
 def test_simulate_record_and_synthesis():
     cfg = parse_config(SMALL_SWITCHING)
-    rec = run_simulate(cfg)
+    _, rec = run_simulate(cfg)
     assert rec.states.shape == (11, 5)
     assert np.all(np.isfinite(rec.states))
     coeffs = rec.states[-1]
@@ -348,25 +356,54 @@ def test_cli_freeze_csv(tmp_path):
     assert len(lines) == 1 + 3 * 4  # three slow states, four modes
 
 
+SMALL_AGGREGATE = """
+scenario = "switching-multiclass"
+alpha = 1.5
+k_trunc = 3
+T = 20.0
+n_paths = 1
+eps_grid = [0.01]
+qtilde = [[-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, -2.0, 2.0], [0.0, 0.0, 1.0, -1.0]]
+qhat = [[-1.0, 0.2, 0.5, 0.3], [0.1, -0.6, 0.2, 0.3], [0.4, 0.1, -0.8, 0.3], [0.2, 0.2, 0.1, -0.5]]
+partition = [[1, 2], [3, 4]]
+drift_coeffs = [0.3, 0.9, 0.2, 0.7]
+"""
+
+
 def test_cli_aggregate_csv(tmp_path):
     path = tmp_path / "agg.cfg"
-    path.write_text(
-        """
-        scenario = "switching-multiclass"
-        alpha = 1.5
-        k_trunc = 3
-        T = 20.0
-        n_paths = 1
-        eps_grid = [0.01]
-        qtilde = [[-1.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, -2.0, 2.0], [0.0, 0.0, 1.0, -1.0]]
-        qhat = [[-1.0, 0.2, 0.5, 0.3], [0.1, -0.6, 0.2, 0.3], [0.4, 0.1, -0.8, 0.3], [0.2, 0.2, 0.1, -0.5]]
-        partition = [[1, 2], [3, 4]]
-        drift_coeffs = [0.3, 0.9, 0.2, 0.7]
-        """,
-        encoding="utf-8",
-    )
+    path.write_text(SMALL_AGGREGATE, encoding="utf-8")
     rc = cli.main(["aggregate", "--config", str(path), "--out", str(tmp_path / "g"), "--quiet"])
     assert rc == 0
     lines = (tmp_path / "g" / "aggregate.csv").read_text().splitlines()
     assert lines[0] == "from_class,to_class,empirical_rate,qbar_rate"
     assert len(lines) == 3  # header + off-diagonal pairs of a 2-class chain
+
+
+def test_cli_paths_flag_matches_n_paths_in_config(tmp_path):
+    # aggregate pools n_paths chains, so --paths must reach it, not only converge
+    flag = tmp_path / "flag.cfg"
+    flag.write_text(SMALL_AGGREGATE + "n_paths = 3\n", encoding="utf-8")
+    plain = tmp_path / "plain.cfg"
+    plain.write_text(SMALL_AGGREGATE, encoding="utf-8")
+    args = ["aggregate", "--quiet", "--config"]
+    assert cli.main(args + [str(flag), "--paths", "1", "--out", str(tmp_path / "a")]) == 0
+    assert cli.main(args + [str(plain), "--out", str(tmp_path / "b")]) == 0
+    for name in ("aggregate.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_cli_paths_flag_is_validated(small_cfg_file, tmp_path, capsys):
+    args = ["converge", "--config", str(small_cfg_file), "--paths", "0", "--quiet"]
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert "n_paths" in capsys.readouterr().err
+
+
+def test_package_imports_without_scipy():
+    src = Path(stablespde.__file__).resolve().parent.parent
+    code = "import sys, stablespde; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -7,13 +7,17 @@ from stablespde import (
     PowerLawRule,
     SpectralOperator,
     admissibility,
-    fractional_power_apply,
     h_norm,
     hoelder_bound_check,
+    make_step_plan,
     rod_operator,
-    semigroup_apply,
     smoothing_bound_check,
 )
+
+
+def semigroup_apply(op, t, x):
+    """exp(-tA) x as the engine applies it: the decay factor of a step plan of length t."""
+    return make_step_plan(op, NoiseWeights(np.ones(op.k_trunc)), 2.0, t).decay * x
 
 
 def test_operator_construction_guards():
@@ -60,15 +64,6 @@ def test_semigroup_law():
         lhs = semigroup_apply(op, s + t, x)
         rhs = semigroup_apply(op, s, semigroup_apply(op, t, x))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_fractional_power_basics():
-    op = SpectralOperator(np.array([1.0, 4.0]))
-    x = np.ones(2)
-    assert np.array_equal(fractional_power_apply(op, 0.0, x), x)
-    assert np.allclose(fractional_power_apply(op, 1.0, x), [1.0, 4.0])
-    roundtrip = fractional_power_apply(op, -0.7, fractional_power_apply(op, 0.7, x))
-    assert np.allclose(roundtrip, x, rtol=1e-14)
 
 
 def test_smoothing_bound_single_point():

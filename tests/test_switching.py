@@ -8,9 +8,6 @@ from stablespde import (
     RngStream,
     aggregate_generator,
     aggregate_path,
-    block_diagonal,
-    empirical_transition_rates,
-    mixing_decay_probe,
     occupation_fractions,
     simulate_chain,
     stationary_distribution,
@@ -148,42 +145,3 @@ def test_occupation_fractions_hand_integration():
     assert np.allclose(occ, [0.5, 0.5])
     path2 = ChainPath(np.array([0.0, 0.25, 1.5]), np.array([1, 0, 1]), 2.0)
     assert np.allclose(occupation_fractions(path2, 2), [1.25 / 2.0, 0.75 / 2.0])
-
-
-def test_mixing_decay_two_state_closed_form():
-    # Qhat = 0, symmetric rate-1 chain: row deviation is exactly exp(-2 t / eps)
-    eps = 0.1
-    t_grid = np.array([0.01, 0.05, 0.1, 0.2])
-    probe = mixing_decay_probe(SYM2, GeneratorMatrix.zero(2), eps, t_grid)
-    assert np.allclose(probe, np.exp(-2.0 * t_grid / eps), rtol=1e-8)
-
-
-def test_mixing_decay_initial_value_maximal():
-    probe = mixing_decay_probe(SYM2, GeneratorMatrix.zero(2), 0.1, [0.0, 0.05, 0.5])
-    assert probe[0] == pytest.approx(1.0)
-    assert np.all(np.diff(probe) <= 1e-12)
-
-
-def test_mixing_decay_small_eps_floor():
-    # with a slow part present the long-time deviation is O(eps)
-    t = [5.0]
-    qhat = GeneratorMatrix(np.array([[-0.2, 0.2], [0.1, -0.1]]))
-    v_small = mixing_decay_probe(SYM2, qhat, 1e-3, t)
-    v_large = mixing_decay_probe(SYM2, qhat, 1e-1, t)
-    assert v_small[0] < v_large[0]
-
-
-def test_empirical_rates_long_run_match_generator():
-    q = GeneratorMatrix(np.array([[-0.8, 0.8], [0.5, -0.5]]))
-    path = simulate_chain(q, GeneratorMatrix.zero(2), 1.0, 0, 4000.0, RngStream(3))
-    emp = empirical_transition_rates(path, 2)
-    assert np.allclose(emp[0, 1], 0.8, rtol=0.1)
-    assert np.allclose(emp[1, 0], 0.5, rtol=0.1)
-
-
-def test_block_diagonal_assembly():
-    q = block_diagonal(QT_BLOCKS)
-    assert q.n_states == 4
-    assert np.allclose(q.rates[:2, :2], QT_BLOCKS[0].rates)
-    assert np.allclose(q.rates[2:, 2:], QT_BLOCKS[1].rates)
-    assert np.allclose(q.rates[:2, 2:], 0.0)
