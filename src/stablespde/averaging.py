@@ -18,6 +18,8 @@ from .stable_noise import NoiseWeights
 from .switching import ClassPartition
 from .engine import solve_frozen_fast
 
+_N_BATCHES = 10  # batch means per replication in the estimator's standard error
+
 
 def nu_average_drift(drift, nu: np.ndarray, x: FieldState) -> FieldState:
     """Stationary-weighted drift sum_i nu_i b(x, i)."""
@@ -64,7 +66,6 @@ class ErgodicEstimatorConfig:
     burn_in: float | None = None
     horizon: float | None = None
     n_reps: int = 4
-    n_batches: int = 10
 
     def resolve(self, mixing_rate: float) -> tuple[float, float]:
         if mixing_rate <= 0:
@@ -89,9 +90,10 @@ def estimate_ergodic_drift(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimate int b(z, u) pi_z(du) by time-averaging frozen-fast trajectories.
 
-    ``observable`` is called as b(z, y).  Returns (estimate, standard error)
-    per mode; the SE combines batch means within replications across
-    independent replications.
+    ``observable`` is called as b(z, y) on the whole (n_steps, k) array of
+    recorded states; a constant observable is broadcast to it.  Returns
+    (estimate, standard error) per mode; the SE combines batch means within
+    replications across independent replications.
     """
     mixing = op_b.lambda_1 - fast_drift.grad_y_bound
     burn, horizon = config.resolve(mixing)
@@ -106,11 +108,12 @@ def estimate_ergodic_drift(
     batch_vars = []
     for rep in range(config.n_reps):
         rec = solve_frozen_fast(z, y0, fast_drift, op_b, w_z, beta, grid, rng.substream(rep))
-        values = np.array([observable(z, y) for y in rec.states[keep]])
+        states = rec.states[keep]
+        values = np.broadcast_to(observable(z, states), states.shape)
         rep_means.append(values.mean(axis=0))
-        batches = np.array_split(values, config.n_batches, axis=0)
+        batches = np.array_split(values, _N_BATCHES, axis=0)
         bm = np.array([b.mean(axis=0) for b in batches])
-        batch_vars.append(bm.var(axis=0, ddof=1) / config.n_batches)
+        batch_vars.append(bm.var(axis=0, ddof=1) / _N_BATCHES)
     rep_means = np.array(rep_means)
     estimate = rep_means.mean(axis=0)
     se = np.sqrt(np.mean(batch_vars, axis=0) / config.n_reps)
@@ -128,25 +131,21 @@ def ergodic_decay_probe(
     t_grid,
     n_paths: int,
     rng: RngStream,
-    bbar: np.ndarray | None = None,
+    bbar: np.ndarray,
 ) -> np.ndarray:
     """|E b(z, Y_z(t; y)) - bbar(z)|_H over the grid, by ensemble averaging.
 
-    ``t_grid`` doubles as the stepping grid (must start at 0).  If ``bbar`` is
-    not supplied it is estimated first.
+    ``t_grid`` doubles as the stepping grid (must start at 0); ``observable``
+    is called as in :func:`estimate_ergodic_drift`.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0:
         raise ValueError("t_grid must start at 0")
     z = np.asarray(z, dtype=float)
-    if bbar is None:
-        bbar, _ = estimate_ergodic_drift(
-            z, fast_drift, observable, op_b, w_z, beta, ErgodicEstimatorConfig(), rng.substream(10**6)
-        )
-    acc = np.zeros((t_grid.size, np.asarray(bbar).size))
+    acc = np.zeros((t_grid.size, op_b.k_trunc))
     for j in range(n_paths):
         rec = solve_frozen_fast(z, y, fast_drift, op_b, w_z, beta, t_grid, rng.substream(j))
-        acc += np.array([observable(z, yy) for yy in rec.states])
+        acc += np.broadcast_to(observable(z, rec.states), rec.states.shape)
     mean_obs = acc / n_paths
     return np.linalg.norm(mean_obs - bbar, axis=1)
 

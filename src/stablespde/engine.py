@@ -5,14 +5,7 @@ linear semigroup is applied exactly, the drift is frozen at the left endpoint
 of each (sub-)interval, and the linear stochastic convolution is sampled
 exactly in law through its closed-form stable scale.  Chain jumps inside a
 step are resolved by sub-stepping the drift at the exact jump times; the noise
-term needs no refinement.
-
-Noise-stream convention (each tag has one owner, so coupled runs on the same
-:class:`RngStream` see the identical driving noise):
-
-* substream 0 - slow-field noise L, k_trunc variates per grid step: slow solves
-* substream ``CHAIN_TAG`` = 1 - the switching chain: simulated by the harness
-* substream 2 - fast-field noise Z: solve_frozen_fast and solve_fast_slow
+term needs no refinement.  The noise substream tags are defined in :mod:`.rng`.
 """
 
 from __future__ import annotations
@@ -21,15 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import L_NOISE_TAG, Z_NOISE_TAG, RngStream
 from .spectral import FieldState, SpectralOperator
 from .stable_noise import NoiseWeights, convolution_scale, sample_standard_stable
 from .switching import ChainPath
-
-_L_NOISE_TAG = 0
-CHAIN_TAG = 1
-_Z_NOISE_TAG = 2
-
 
 @dataclass(frozen=True)
 class MildStepPlan:
@@ -148,7 +136,7 @@ def solve_switching_spde(
 
     ``drift`` is called as drift(x, regime).
     """
-    return _mild_solve(x0, drift, op_a, w_l, alpha, grid, rng.substream(_L_NOISE_TAG), chain)
+    return _mild_solve(x0, drift, op_a, w_l, alpha, grid, rng.substream(L_NOISE_TAG), chain)
 
 
 def solve_averaged_spde(
@@ -161,7 +149,7 @@ def solve_averaged_spde(
     rng: RngStream,
 ) -> TrajectoryRecord:
     """Mild stepper for the averaged field; ``averaged_drift`` maps state to state."""
-    return _mild_solve(x0, averaged_drift, op_a, w_l, alpha, grid, rng.substream(_L_NOISE_TAG))
+    return _mild_solve(x0, averaged_drift, op_a, w_l, alpha, grid, rng.substream(L_NOISE_TAG))
 
 
 def solve_frozen_fast(
@@ -179,7 +167,7 @@ def solve_frozen_fast(
         raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
     z = np.asarray(z, dtype=float)
     return _mild_solve(
-        y0, lambda y: fast_drift(z, y), op_b, w_z, beta, grid, rng.substream(_Z_NOISE_TAG)
+        y0, lambda y: fast_drift(z, y), op_b, w_z, beta, grid, rng.substream(Z_NOISE_TAG)
     )
 
 
@@ -229,8 +217,8 @@ def solve_fast_slow(
     if fast_drift.grad_y_bound >= op_b.lambda_1:
         raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
     grid = _check_grid(grid)
-    gen_l = rng.substream(_L_NOISE_TAG).generator()
-    gen_z = rng.substream(_Z_NOISE_TAG).generator()
+    gen_l = rng.substream(L_NOISE_TAG).generator()
+    gen_z = rng.substream(Z_NOISE_TAG).generator()
     lam = op_a.eigenvalues
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()

@@ -26,8 +26,8 @@ from .averaging import (
     make_nu_averaged,
 )
 from .config import ExperimentConfig
-from .engine import CHAIN_TAG, solve_averaged_spde, solve_fast_slow, solve_switching_spde
-from .rng import RngStream
+from .engine import solve_averaged_spde, solve_fast_slow, solve_switching_spde
+from .rng import CHAIN_TAG, DECAY_PROBE_STREAM, ESTIMATOR_STREAM, Y0_PAIR_STREAMS, RngStream
 from .spectral import admissibility
 from .switching import (
     aggregate_generator,
@@ -36,9 +36,6 @@ from .switching import (
     simulate_chain,
     stationary_distribution,
 )
-
-_ESTIMATOR_STREAM = 900_000  # stream id reserved for averaged-drift estimation
-
 
 class ConditionError(RuntimeError):
     """An assumption check failed; experiments refuse to start (exit code 1)."""
@@ -271,7 +268,7 @@ def _averaged_system(cfg: ExperimentConfig, grid: np.ndarray):
         nu = stationary_distribution(cfg.generator_pair()[0])
         averaged = make_nu_averaged(cfg.regime_drift(), nu)
     else:
-        averaged, _, _ = averaged_fast_slow_drift(cfg, RngStream(cfg.seed, _ESTIMATOR_STREAM))
+        averaged, _, _ = averaged_fast_slow_drift(cfg, RngStream(cfg.seed, ESTIMATOR_STREAM))
     return lambda rec, rng: solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, rng)
 
 
@@ -357,7 +354,7 @@ def run_freeze(cfg: ExperimentConfig):
     for z_id, z in enumerate(z_grid):
         est, se = estimate_ergodic_drift(
             z, fast, observable, op_b, w_z, cfg.beta, est_cfg,
-            RngStream(cfg.seed, _ESTIMATOR_STREAM + z_id),
+            RngStream(cfg.seed, ESTIMATOR_STREAM + z_id),
         )
         for k in range(est.size):
             rows.append((z_id, k, float(est[k]), float(se[k])))
@@ -366,11 +363,11 @@ def run_freeze(cfg: ExperimentConfig):
     y_alt = np.ones(cfg.k_trunc)
     est_a, se_a = estimate_ergodic_drift(
         x0, fast, observable, op_b, w_z, cfg.beta, est_cfg,
-        RngStream(cfg.seed, _ESTIMATOR_STREAM + 50),
+        RngStream(cfg.seed, Y0_PAIR_STREAMS[0]),
     )
     est_b, se_b = estimate_ergodic_drift(
         x0, fast, observable, op_b, w_z, cfg.beta, est_cfg,
-        RngStream(cfg.seed, _ESTIMATOR_STREAM + 51), y0=y_alt,
+        RngStream(cfg.seed, Y0_PAIR_STREAMS[1]), y0=y_alt,
     )
     comb = np.sqrt(se_a**2 + se_b**2)
     y0_gap_in_se = float(np.max(np.abs(est_a - est_b) / np.where(comb > 0, comb, np.inf)))
@@ -379,7 +376,7 @@ def run_freeze(cfg: ExperimentConfig):
     t_grid = np.linspace(0.0, 3.0 / mixing, 31)
     decay = ergodic_decay_probe(
         x0, y_alt * 2.0, fast, observable, op_b, w_z, cfg.beta, t_grid, 400,
-        RngStream(cfg.seed, _ESTIMATOR_STREAM + 60), bbar=est_a,
+        RngStream(cfg.seed, DECAY_PROBE_STREAM), bbar=est_a,
     )
     rate = fit_decay_rate(t_grid, decay)
     stats = {"y0_gap_in_combined_se": y0_gap_in_se, "decay_rate": rate}

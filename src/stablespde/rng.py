@@ -35,3 +35,19 @@ class RngStream:
     def substream(self, tag: int) -> "RngStream":
         """Derive an independent child stream identified by ``tag``."""
         return RngStream(self.seed, self.stream_id, self.lineage + (tag,))
+
+
+# Stream keys, each named once.  Path j of a sweep runs on RngStream(seed, j);
+# inside a path each noise source owns one substream tag, so coupled runs on
+# the same path stream see the identical driving noise.
+L_NOISE_TAG = 0  # slow-field noise L, k_trunc variates per grid step
+CHAIN_TAG = 1  # the switching chain, simulated by the harness
+Z_NOISE_TAG = 2  # fast-field noise Z: frozen-fast and fast-slow solves
+
+# Stream ids reserved for averaged-drift estimation, clear of any path index.
+# converge's fast-slow average runs on ESTIMATOR_STREAM; freeze's estimate at
+# slow state z_id on ESTIMATOR_STREAM + z_id, its initial-condition pair on
+# Y0_PAIR_STREAMS and its decay probe on DECAY_PROBE_STREAM.
+ESTIMATOR_STREAM = 900_000
+Y0_PAIR_STREAMS = (ESTIMATOR_STREAM + 50, ESTIMATOR_STREAM + 51)
+DECAY_PROBE_STREAM = ESTIMATOR_STREAM + 60
