@@ -25,7 +25,7 @@ from .averaging import (
     make_class_averaged,
     make_nu_averaged,
 )
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .engine import solve_averaged_spde, solve_fast_slow, solve_switching_spde
 from .rng import CHAIN_TAG, DECAY_PROBE_STREAM, ESTIMATOR_STREAM, Y0_PAIR_STREAMS, RngStream
 from .spectral import admissibility
@@ -277,6 +277,8 @@ def run_converge(cfg: ExperimentConfig):
 
     Returns ((report, checks), ErrorTable, checkpoint ErrorTable, RateFit|None, notice).
     """
+    if cfg.n_paths < 2:
+        raise ConfigError(f"converge needs n_paths >= 2 for a standard error, got {cfg.n_paths}")
     report, checks = run_check(cfg)
     require_pass(checks)
     grid = _time_grid(cfg)

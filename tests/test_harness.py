@@ -400,6 +400,24 @@ def test_cli_paths_flag_is_validated(small_cfg_file, tmp_path, capsys):
     assert "n_paths" in capsys.readouterr().err
 
 
+def test_cli_horizon_off_the_step_grid_is_input_error(tmp_path, capsys):
+    path = tmp_path / "off.cfg"
+    path.write_text(SMALL_SWITCHING + "T = 1.0\ndt = 0.3\n", encoding="utf-8")
+    args = ["simulate", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+    assert cli.main(args) == 2
+    assert not (tmp_path / "o").exists()
+    assert "dt" in capsys.readouterr().err
+
+
+def test_cli_converge_single_path_is_input_error(small_cfg_file, tmp_path, capsys):
+    # one path has no standard error; aggregate at one path stays valid
+    # (test_cli_paths_flag_matches_n_paths_in_config)
+    args = ["converge", "--config", str(small_cfg_file), "--paths", "1", "--quiet"]
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o" / "converge.csv").exists()
+    assert "n_paths" in capsys.readouterr().err
+
+
 def test_package_imports_without_scipy():
     src = Path(stablespde.__file__).resolve().parent.parent
     code = "import sys, stablespde; print('scipy' in sys.modules)"
