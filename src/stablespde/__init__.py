@@ -43,7 +43,6 @@ from .engine import (
     MildStepPlan,
     TrajectoryRecord,
     drift_factor,
-    fast_substep_factors,
     make_step_plan,
     solve_averaged_spde,
     solve_fast_slow,

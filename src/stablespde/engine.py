@@ -3,9 +3,13 @@
 All steppers are exponential Euler on the variation-of-constants form: the
 linear semigroup is applied exactly, the drift is frozen at the left endpoint
 of each (sub-)interval, and the linear stochastic convolution is sampled
-exactly in law through its closed-form stable scale.  Chain jumps inside a
-step are resolved by sub-stepping the drift at the exact jump times; the noise
-term needs no refinement.  The noise substream tags are defined in :mod:`.rng`.
+exactly in law through its closed-form stable scale.  A solve runs on a
+uniform time grid, so its per-mode factors form one :class:`MildStepPlan`
+built once.  Chain jumps inside a step are resolved by sub-stepping the drift
+at the exact jump times; the noise term needs no refinement.  The fast field
+of a fast-slow pair steps through the same plan form, for the operator and
+noise rescaled by its time scale.  The noise substream tags are defined in
+:mod:`.rng`.
 """
 
 from __future__ import annotations
@@ -21,13 +25,12 @@ from .switching import ChainPath
 
 @dataclass(frozen=True)
 class MildStepPlan:
-    """Precomputed per-mode factors for one step size.
+    """Precomputed per-mode factors for one step size dt.
 
     decay = exp(-lam dt), drift_factor = (1 - exp(-lam dt)) / lam, and
     conv_scale the exact stable scale of the stochastic convolution over dt.
     """
 
-    dt: float
     decay: np.ndarray
     drift_factor: np.ndarray
     conv_scale: np.ndarray
@@ -44,7 +47,6 @@ def make_step_plan(
 ) -> MildStepPlan:
     lam = op.eigenvalues
     return MildStepPlan(
-        dt=dt,
         decay=np.exp(-lam * dt),
         drift_factor=drift_factor(lam, dt),
         conv_scale=convolution_scale(weights.weights, lam, alpha, dt),
@@ -66,16 +68,23 @@ class TrajectoryRecord:
     fast_states: np.ndarray | None = None
 
 
-def _check_grid(grid) -> np.ndarray:
+def _check_grid(grid) -> tuple[np.ndarray, float]:
+    """The grid as an array and its one step size; steps may differ by rounding only."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+    if grid.ndim != 1 or grid.size < 2 or grid[-1] <= grid[0]:
         raise ValueError("time grid must be strictly increasing with >= 2 points")
-    return grid
+    dt = (grid[-1] - grid[0]) / (grid.size - 1)
+    if np.any(np.abs(np.diff(grid) - dt) > 1e-9 * dt):
+        raise ValueError("time grid must be uniform")
+    return grid, dt
 
 
-def _drift_substep(x, lam, t0: float, t1: float, chain: ChainPath, drift):
+def _drift_substep(x, plan: MildStepPlan, lam, t0: float, t1: float, chain: ChainPath, drift):
     """Advance decay+drift over [t0, t1], splitting at exact chain jump times."""
-    pts = np.concatenate(([t0], chain.breakpoints_in(t0, t1), [t1]))
+    jumps = chain.breakpoints_in(t0, t1)
+    if jumps.size == 0:
+        return plan.decay * x + drift(x, chain.state_at(t0)) * plan.drift_factor
+    pts = np.concatenate(([t0], jumps, [t1]))
     for a, b in zip(pts[:-1], pts[1:]):
         tau = b - a
         bx = drift(x, chain.state_at(a))
@@ -99,7 +108,7 @@ def _mild_solve(
     state to state; with one it is called as drift(x, regime) and sub-steps at
     the chain's jump times.
     """
-    grid = _check_grid(grid)
+    grid, dt = _check_grid(grid)
     if chain is not None and grid[-1] > chain.horizon:
         raise ValueError("time grid exceeds the chain horizon")
     x = np.asarray(x0, dtype=float).copy()
@@ -108,16 +117,14 @@ def _mild_solve(
     gen = rng.generator()
     out = np.empty((grid.size, x.size))
     out[0] = x
-    plan = None
+    plan = make_step_plan(op, weights, alpha, dt)
     for i in range(grid.size - 1):
-        t0, t1 = grid[i], grid[i + 1]
-        if plan is None or plan.dt != t1 - t0:
-            plan = make_step_plan(op, weights, alpha, t1 - t0)
         noise = sample_standard_stable(alpha, gen, size=x.size)
         if chain is None:
             x = step_ou_mode(x, drift(x), plan, noise)
         else:
-            x = _drift_substep(x, op.eigenvalues, t0, t1, chain, drift) + plan.conv_scale * noise
+            x = _drift_substep(x, plan, op.eigenvalues, grid[i], grid[i + 1], chain, drift)
+            x = x + plan.conv_scale * noise
         out[i + 1] = x
     return TrajectoryRecord(grid, out, chain=chain)
 
@@ -171,24 +178,6 @@ def solve_frozen_fast(
     )
 
 
-def fast_substep_factors(
-    op_b: SpectralOperator, w_z: NoiseWeights, beta: float, eps: float, h_f: float
-):
-    """Per-mode factors of one fast substep of length h_f.
-
-    The effective rates are mu_k/eps, the drift enters as f/eps, and the
-    eps^(-1/beta) noise prefactor cancels against the self-similarity rescaling,
-    leaving a convolution scale q_k ((1 - exp(-beta mu_k h_f/eps))/(beta mu_k))^(1/beta)
-    that does not depend on eps when h_f is proportional to eps.
-    """
-    mu = op_b.eigenvalues
-    decay = np.exp(-mu * h_f / eps)
-    # net drift factor: (1/eps) * (1 - exp(-mu h_f/eps)) * eps/mu = (1 - exp(.))/mu
-    dfac = -np.expm1(-mu * h_f / eps) / mu
-    scale = w_z.weights * (-np.expm1(-beta * mu * h_f / eps) / (beta * mu)) ** (1.0 / beta)
-    return decay, dfac, scale
-
-
 def solve_fast_slow(
     x0: FieldState,
     y0: FieldState,
@@ -210,34 +199,36 @@ def solve_fast_slow(
     ``slow_drift`` and ``fast_drift`` are called as f(x, y).  The slow field
     advances once per grid step with both arguments frozen at the step's left
     endpoint; the fast field sub-steps with h_f = dt / ceil(dt / (c_sub eps))
-    so the O(1/eps) drift stays resolved.
+    so the O(1/eps) drift stays resolved.  Its plan is the mild step of
+    dY = (-B Y + f) / eps dt + eps^(-1/beta) dZ: eigenvalues mu_k / eps and
+    noise weights q_k eps^(-1/beta), with the drift entering as f / eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if fast_drift.grad_y_bound >= op_b.lambda_1:
         raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
-    grid = _check_grid(grid)
+    grid, dt = _check_grid(grid)
+    n_sub = max(1, int(np.ceil(dt / (c_sub * eps))))
+    slow_plan = make_step_plan(op_a, w_l, alpha, dt)
+    fast_plan = make_step_plan(
+        SpectralOperator(op_b.eigenvalues / eps),
+        NoiseWeights(w_z.weights * eps ** (-1.0 / beta)),
+        beta,
+        dt / n_sub,
+    )
     gen_l = rng.substream(L_NOISE_TAG).generator()
     gen_z = rng.substream(Z_NOISE_TAG).generator()
-    lam = op_a.eigenvalues
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
     out_x = np.empty((grid.size, x.size))
     out_y = np.empty((grid.size, y.size))
     out_x[0], out_y[0] = x, y
-    slow_plan = None
     for i in range(grid.size - 1):
-        dt = grid[i + 1] - grid[i]
-        if slow_plan is None or slow_plan.dt != dt:
-            slow_plan = make_step_plan(op_a, w_l, alpha, dt)
-            n_sub = max(1, int(np.ceil(dt / (c_sub * eps))))
-            h_f = dt / n_sub
-            f_decay, f_dfac, f_scale = fast_substep_factors(op_b, w_z, beta, eps, h_f)
         noise_l = sample_standard_stable(alpha, gen_l, size=x.size)
         x_left = x
         x = step_ou_mode(x, slow_drift(x_left, y), slow_plan, noise_l)
         for _ in range(n_sub):
             noise_z = sample_standard_stable(beta, gen_z, size=y.size)
-            y = f_decay * y + fast_drift(x_left, y) * f_dfac + f_scale * noise_z
+            y = step_ou_mode(y, fast_drift(x_left, y) / eps, fast_plan, noise_z)
         out_x[i + 1], out_y[i + 1] = x, y
     return TrajectoryRecord(grid, out_x, fast_states=out_y)

@@ -14,7 +14,6 @@ from stablespde import (
     convolution_scale,
     drift_factor,
     ecf,
-    fast_substep_factors,
     make_step_plan,
     rod_operator,
     sample_standard_stable,
@@ -155,12 +154,16 @@ def test_constant_drift_difference_is_noise_free():
 
 
 def test_fast_substep_scale_independent_of_eps():
+    # the fast field's plan is the mild step of B/eps with noise weights
+    # q eps^(-1/beta); with h_f proportional to eps its scale does not move
     op_b = rod_operator(4)
     w_z = NoiseWeights.from_rule(PowerLawRule(1.0, -2.0), 4)
     beta = 1.5
     for eps in (1.0, 0.1, 1e-3):
         h_f = 0.5 * eps
-        _, _, scale = fast_substep_factors(op_b, w_z, beta, eps, h_f)
+        op_eps = SpectralOperator(op_b.eigenvalues / eps)
+        w_eps = NoiseWeights(w_z.weights * eps ** (-1 / beta))
+        scale = make_step_plan(op_eps, w_eps, beta, h_f).conv_scale
         ref = w_z.weights * (-np.expm1(-beta * op_b.eigenvalues * 0.5) / (beta * op_b.eigenvalues)) ** (1 / beta)
         assert np.max(np.abs(scale - ref)) <= 1e-15
 
@@ -200,9 +203,9 @@ def test_fast_slow_stationary_mode_scale():
         assert np.max(np.abs(ecf(term[:, k], u) - target)) < 0.03
 
 
-def test_fast_slow_matches_reference_two_block_stepper():
-    # eps = 1 with one fast substep per step: cross-check against an
-    # independently written two-equation exponential Euler stepper
+def _reference_fast_slow_gap(dt, n, eps, c_sub, n_sub):
+    """Terminal gap between solve_fast_slow and an independently written
+    two-equation exponential Euler stepper taking n_sub fast substeps per step."""
     k = 3
     op_a = rod_operator(k)
     op_b = SpectralOperator(np.array([1.0, 3.0, 5.0]))
@@ -211,36 +214,58 @@ def test_fast_slow_matches_reference_two_block_stepper():
     alpha = beta = 1.5
     slow = SaturatingCoupledDrift(0.3, 0.2, 0.1)
     fast = SaturatingCoupledDrift(0.2, 0.4, 0.0)
-    dt, n = 0.1, 10
     grid = np.linspace(0.0, dt * n, n + 1)
     rng = RngStream(11, 5)
     rec = solve_fast_slow(
         np.ones(k), 0.5 * np.ones(k), slow, fast, op_a, op_b, w_l, w_z,
-        alpha, beta, 1.0, grid, rng, c_sub=1.0,
+        alpha, beta, eps, grid, rng, c_sub=c_sub,
     )
 
     gen_l = rng.substream(0).generator()
     gen_z = rng.substream(2).generator()
-    lam, mu = op_a.eigenvalues, op_b.eigenvalues
+    lam, mu = op_a.eigenvalues, op_b.eigenvalues / eps
+    h = dt / n_sub
     x, y = np.ones(k), 0.5 * np.ones(k)
     for _ in range(n):
         xi = sample_standard_stable(alpha, gen_l, size=k)
-        zeta = sample_standard_stable(beta, gen_z, size=k)
         bx = slow(x, y)
-        fy = fast(x, y)
         x_new = (
             np.exp(-lam * dt) * x
             + bx * (1 - np.exp(-lam * dt)) / lam
             + w_l.weights * ((1 - np.exp(-alpha * lam * dt)) / (alpha * lam)) ** (1 / alpha) * xi
         )
-        y = (
-            np.exp(-mu * dt) * y
-            + fy * (1 - np.exp(-mu * dt)) / mu
-            + w_z.weights * ((1 - np.exp(-beta * mu * dt)) / (beta * mu)) ** (1 / beta) * zeta
-        )
+        for _ in range(n_sub):
+            zeta = sample_standard_stable(beta, gen_z, size=k)
+            fy = fast(x, y) / eps
+            q = w_z.weights * eps ** (-1 / beta)
+            y = (
+                np.exp(-mu * h) * y
+                + fy * (1 - np.exp(-mu * h)) / mu
+                + q * ((1 - np.exp(-beta * mu * h)) / (beta * mu)) ** (1 / beta) * zeta
+            )
         x = x_new
-    assert np.max(np.abs(rec.states[-1] - x)) < 1e-10
-    assert np.max(np.abs(rec.fast_states[-1] - y)) < 1e-10
+    return np.max(np.abs(rec.states[-1] - x)), np.max(np.abs(rec.fast_states[-1] - y))
+
+
+def test_fast_slow_matches_reference_two_block_stepper():
+    # eps = 1 with one fast substep per step
+    gap_x, gap_y = _reference_fast_slow_gap(0.1, 10, eps=1.0, c_sub=1.0, n_sub=1)
+    assert gap_x < 1e-10
+    assert gap_y < 1e-10
+
+
+def test_fast_slow_substep_count_matches_reference():
+    # linspace(0, 1, 51) with eps = 0.02 and c_sub = 0.5: dt / (c_sub eps) = 2
+    # substeps on every step, whatever the rounding of the grid's differences
+    gap_x, gap_y = _reference_fast_slow_gap(0.02, 50, eps=0.02, c_sub=0.5, n_sub=2)
+    assert gap_x < 1e-10
+    assert gap_y < 1e-10
+
+
+def test_non_uniform_grid_rejected():
+    grid = np.array([0.0, 0.1, 0.3, 0.4])
+    with pytest.raises(ValueError, match="uniform"):
+        solve_averaged_spde(np.zeros(3), lambda x: 0 * x, OP3, W3, 1.5, grid, RngStream(0))
 
 
 def test_frozen_fast_is_ou_field_without_drift():

@@ -28,39 +28,39 @@ GOLDEN = {
         "summary.json": "7a76455b9d1d53b65f247537f9113cb751453415688adbb74c0e66576b07eb1d",
     },
     ("simulate", "switching_single.cfg"): {
-        "simulate.csv": "a8f71884bac8b619545d4af0cd51d012026d115151b5adf80ec17464a271b721",
+        "simulate.csv": "e48490513624bfabc0a705814bcd797c4925e674dc776e2d414042565d0b73ed",
         "summary.json": "7a76455b9d1d53b65f247537f9113cb751453415688adbb74c0e66576b07eb1d",
     },
     ("converge", "switching_single.cfg"): {
-        "converge.csv": "d99d72d88284a6facc418c9585f81fd259db732d164752082641811f878ec9cf",
-        "summary.json": "6e6b4eddb03f53379d3ffc264dcca41f850ae02fc5ba13a40dad9c21cdb32469",
+        "converge.csv": "da5d4bb1a9a229dce76009147e98d8df0a0f3310a42ef1d75620ea359a20998a",
+        "summary.json": "2d34e828423e0fa9c92068143342d3c599a035cc72f70e76c4f8ff3c5979e875",
     },
     ("check", "switching_multiclass.cfg"): {
         "summary.json": "d69ba66557647b54d5de3ffe44835a62ff05c7d165141350b88bb1caa5d4b8bf",
     },
     ("simulate", "switching_multiclass.cfg"): {
-        "simulate.csv": "6c640df65d440dc74b57cbf998bc75ed1f197db4808a2299ac4f6e31c28825e8",
+        "simulate.csv": "bdef0f78c859a3a4556b215687cc9f4e34056d375918dc890ebfd1d0ca443616",
         "summary.json": "d69ba66557647b54d5de3ffe44835a62ff05c7d165141350b88bb1caa5d4b8bf",
     },
     ("converge", "switching_multiclass.cfg"): {
-        "converge.csv": "a5d56dbe9100e01363cf880c9bed677612ff4f5aa6561ff419ba7e50b054aec2",
-        "summary.json": "7f9fef7f07b3a7a2ee62ca7a6d0416b3b956b29908e99afb8526ae00a9d714f9",
+        "converge.csv": "19611808ecbad466d5fdd428d81d6de55b8a1c503c3c3bae20c30042c3ecc106",
+        "summary.json": "fd619f1bb5137d9c4bf91fedf0226169e071044b4ff7aae1651a55853038b878",
     },
     ("check", "fast_slow.cfg"): {
         "summary.json": "e67db2e18167eb5585d3933f496b8f88197ac347dbed2b1029dc777b48ed06d5",
     },
     ("simulate", "fast_slow.cfg"): {
-        "simulate.csv": "372878aa1ae5a93c3078da11fd8ded0ec4c6922dba0081e7f7135e3947305f44",
+        "simulate.csv": "2d1390556d7d0cd2cd9d5083dcee740df21629aa15ccaaeea81a023848e78fe4",
         "summary.json": "e67db2e18167eb5585d3933f496b8f88197ac347dbed2b1029dc777b48ed06d5",
     },
     ("converge", "fast_slow.cfg"): {
-        "converge.csv": "c9d409b064d393df2c7a7b51cd849774a02838c40d49cee9cfa11c3dd67d8688",
-        "summary.json": "355760134493d24e01a9f1a6d77c9f8bca62fa49a76ba165fff30f0c64641bac",
+        "converge.csv": "957fac6214036a3c0f685c07412c064ce33e0323fc8d0c3f516368596548c77d",
+        "summary.json": "1a3827c6abf43fa098eecd1deca78cee689dd0c415e1e005a19234d52f5052e9",
     },
     ("freeze", "fast_slow.cfg"): {
-        "freeze.csv": "03b51490a8f11f75af9d91b41d7389d04c340cc33af13a9e7c054adcbed8773e",
-        "freeze_decay.csv": "15c18d7bd75b548a91e919a5c7e4781f7b740dbe5831dcf9e9e12795aa245df3",
-        "summary.json": "4c319255b46250bd43127c7b9b69733f9e8667be5b68c65bf8a2c7dce6493ccd",
+        "freeze.csv": "686b6bd3023abd0c23d819af7fa031869d9a6b8048d9e368162c821cb8f3b195",
+        "freeze_decay.csv": "9a9b6b7fac722c98b24e69351a7d7c606fc56387e49ef6dcc85dd3528075cad3",
+        "summary.json": "b942004cefc5f7f3ebcc16de785446e584784909f147105543a7ef7c22aa89ef",
     },
     ("check", "aggregate.cfg"): {
         "summary.json": "d1a1bfa4b49b230afb04335e5d3dc4a158ce6cb2235625fc6e1577494fb832e7",
