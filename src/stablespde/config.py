@@ -91,7 +91,8 @@ class ExperimentConfig:
             raise ConfigError("eps_grid must be strictly decreasing and positive")
         if self.k_trunc < 1 or self.T <= 0 or self.dt <= 0 or self.n_paths < 1:
             raise ConfigError("k_trunc, T, dt, n_paths must be positive")
-        if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
+        n_steps = self.T / self.dt
+        if not np.isfinite(n_steps) or abs(round(n_steps) * self.dt - self.T) > 1e-9 * self.T:
             raise ConfigError(f"T = {self.T} is not a whole number of dt = {self.dt} steps")
         if self.drift not in DRIFT_KINDS:
             raise ConfigError(f"unknown drift {self.drift!r}; pick one of {DRIFT_KINDS}")

@@ -23,6 +23,7 @@ from .spectral import FieldState, SpectralOperator
 from .stable_noise import NoiseWeights, convolution_scale, sample_standard_stable
 from .switching import ChainPath
 
+
 @dataclass(frozen=True)
 class MildStepPlan:
     """Precomputed per-mode factors for one step size dt.
@@ -74,7 +75,7 @@ def _check_grid(grid) -> tuple[np.ndarray, float]:
     if grid.ndim != 1 or grid.size < 2 or grid[-1] <= grid[0]:
         raise ValueError("time grid must be strictly increasing with >= 2 points")
     dt = (grid[-1] - grid[0]) / (grid.size - 1)
-    if np.any(np.abs(np.diff(grid) - dt) > 1e-9 * dt):
+    if not np.all(np.abs(np.diff(grid) - dt) <= 1e-9 * dt):
         raise ValueError("time grid must be uniform")
     return grid, dt
 

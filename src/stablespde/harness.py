@@ -37,6 +37,7 @@ from .switching import (
     stationary_distribution,
 )
 
+
 class ConditionError(RuntimeError):
     """An assumption check failed; experiments refuse to start (exit code 1)."""
 

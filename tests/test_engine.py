@@ -224,6 +224,7 @@ def _reference_fast_slow_gap(dt, n, eps, c_sub, n_sub):
     gen_l = rng.substream(0).generator()
     gen_z = rng.substream(2).generator()
     lam, mu = op_a.eigenvalues, op_b.eigenvalues / eps
+    q = w_z.weights * eps ** (-1 / beta)
     h = dt / n_sub
     x, y = np.ones(k), 0.5 * np.ones(k)
     for _ in range(n):
@@ -237,7 +238,6 @@ def _reference_fast_slow_gap(dt, n, eps, c_sub, n_sub):
         for _ in range(n_sub):
             zeta = sample_standard_stable(beta, gen_z, size=k)
             fy = fast(x, y) / eps
-            q = w_z.weights * eps ** (-1 / beta)
             y = (
                 np.exp(-mu * h) * y
                 + fy * (1 - np.exp(-mu * h)) / mu

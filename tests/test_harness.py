@@ -400,10 +400,13 @@ def test_cli_paths_flag_is_validated(small_cfg_file, tmp_path, capsys):
     assert "n_paths" in capsys.readouterr().err
 
 
-def test_cli_horizon_off_the_step_grid_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "horizon", ["T = 1.0\ndt = 0.3", "T = 1e999"], ids=["three_tenths_step", "infinite_T"]
+)
+def test_cli_horizon_off_the_step_grid_is_input_error(tmp_path, capsys, horizon):
     path = tmp_path / "off.cfg"
-    path.write_text(SMALL_SWITCHING + "T = 1.0\ndt = 0.3\n", encoding="utf-8")
-    args = ["simulate", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+    path.write_text(SMALL_SWITCHING + horizon + "\n", encoding="utf-8")
+    args = ["check", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
     assert cli.main(args) == 2
     assert not (tmp_path / "o").exists()
     assert "dt" in capsys.readouterr().err
