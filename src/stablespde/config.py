@@ -78,6 +78,8 @@ class ExperimentConfig:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
+        for f in fields(self):
+            _check_type(f.name, f.type, getattr(self, f.name))
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; pick one of {SCENARIOS}")
         if not 1.0 < self.alpha <= 2.0:
@@ -86,8 +88,11 @@ class ExperimentConfig:
             raise ConfigError(f"beta must lie in (1, 2], got {self.beta}")
         if not 1.0 < self.p < self.alpha:
             raise ConfigError(f"p must lie in (1, alpha), got p={self.p}, alpha={self.alpha}")
-        eps = np.asarray(self.eps_grid, dtype=float)
-        if eps.size == 0 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
+        try:
+            eps = np.asarray(self.eps_grid, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"eps_grid must be a list of reals: {exc}") from exc
+        if eps.ndim != 1 or eps.size == 0 or not np.all(eps > 0) or np.any(np.diff(eps) >= 0):
             raise ConfigError("eps_grid must be strictly decreasing and positive")
         if self.k_trunc < 1 or self.T <= 0 or self.dt <= 0 or self.n_paths < 1:
             raise ConfigError("k_trunc, T, dt, n_paths must be positive")
@@ -99,6 +104,10 @@ class ExperimentConfig:
         if self.scenario in ("switching-single", "switching-multiclass"):
             if self.qtilde is None:
                 raise ConfigError(f"scenario {self.scenario} requires qtilde")
+            if not 1 <= self.r0 <= len(self.qtilde):
+                raise ConfigError(
+                    f"r0 = {self.r0} is not a state of the {len(self.qtilde)}-state chain"
+                )
         if self.scenario == "switching-multiclass" and self.partition is None:
             raise ConfigError("switching-multiclass requires partition")
 
@@ -187,6 +196,17 @@ class ExperimentConfig:
 
 
 _FIELDS = {f.name for f in fields(ExperimentConfig)}
+# field annotation -> accepted Python types; bool is never a number here
+_KINDS = {"str": (str,), "int": (int,), "float": (int, float), "list": (list, tuple)}
+
+
+def _check_type(key: str, annotation: str, value) -> None:
+    kinds = annotation.split(" | ")
+    if value is None and "None" in kinds:
+        return
+    accepted = tuple(t for kind in kinds if kind != "None" for t in _KINDS[kind])
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be {' or '.join(kinds)}, got {value!r}")
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -200,7 +200,8 @@ def solve_fast_slow(
     ``slow_drift`` and ``fast_drift`` are called as f(x, y).  The slow field
     advances once per grid step with both arguments frozen at the step's left
     endpoint; the fast field sub-steps with h_f = dt / ceil(dt / (c_sub eps))
-    so the O(1/eps) drift stays resolved.  Its plan is the mild step of
+    so the O(1/eps) drift stays resolved (a quotient within 1e-9 relative of a
+    whole number counts as that number).  Its plan is the mild step of
     dY = (-B Y + f) / eps dt + eps^(-1/beta) dZ: eigenvalues mu_k / eps and
     noise weights q_k eps^(-1/beta), with the drift entering as f / eps.
     """
@@ -209,7 +210,10 @@ def solve_fast_slow(
     if fast_drift.grad_y_bound >= op_b.lambda_1:
         raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
     grid, dt = _check_grid(grid)
-    n_sub = max(1, int(np.ceil(dt / (c_sub * eps))))
+    # a quotient within 1e-9 relative of a whole number is that number, not its ceiling
+    ratio = dt / (c_sub * eps)
+    whole = round(ratio)
+    n_sub = max(1, whole if abs(whole - ratio) <= 1e-9 * ratio else int(np.ceil(ratio)))
     slow_plan = make_step_plan(op_a, w_l, alpha, dt)
     fast_plan = make_step_plan(
         SpectralOperator(op_b.eigenvalues / eps),

@@ -139,6 +139,35 @@ def aggregate_generator(
     return GeneratorMatrix(mu_tilde @ qhat.rates @ ones)
 
 
+# Stream contract of simulate_chain: draws come in chunks of _CHUNK,
+# standard_exponential(_CHUNK) then random(_CHUNK), a new chunk only when the
+# chain needs a draw past the end of the last one.
+_CHUNK = 4096
+_FIRST_BLOCK = 64
+
+
+def _walk(maps: np.ndarray, s0: int) -> np.ndarray:
+    """States s_1..s_m of the walk s_{k+1} = maps[k, s_k] from s_0 = s0.
+
+    Pairwise composition: the maps of draws 2i and 2i+1 compose into one map,
+    the walk over those m/2 maps gives the states after the odd draws, and
+    one gather from those gives the states after the even draws.  That is
+    log2(m) rounds of integer fancy indexing on O(m n) entries in all.  Row k
+    of the flattened table starts at k * n.
+    """
+    m, n = maps.shape
+    if m == 1:
+        return maps[0, s0 : s0 + 1]
+    flat = maps.reshape(-1)
+    half = m // 2
+    pairs = flat.take(maps[0 : 2 * half : 2] + np.arange(n, 2 * half * n, 2 * n)[:, None])
+    out = np.empty(m, dtype=maps.dtype)
+    out[1::2] = _walk(pairs, s0)
+    before_even = np.concatenate(([s0], out[1 : m - 1 : 2]))
+    out[0::2] = flat.take(before_even + np.arange(0, m * n, 2 * n))
+    return out
+
+
 def simulate_chain(
     qtilde: GeneratorMatrix,
     qhat: GeneratorMatrix,
@@ -147,46 +176,68 @@ def simulate_chain(
     horizon: float,
     rng: RngStream,
 ) -> ChainPath:
-    """Exact Gillespie simulation of the chain with generator Qtilde/eps + Qhat."""
-    if eps <= 0 or horizon <= 0:
-        raise ValueError("eps and horizon must be positive")
+    """Exact Gillespie simulation of the chain with generator Qtilde/eps + Qhat.
+
+    Draw k is the pair (exps[k], unis[k]): the holding time in the current
+    state s is exps[k] / exit_rate[s] and the next state is the first index
+    whose cumulative jump probability from s exceeds unis[k].  The draws come
+    in chunks (see ``_CHUNK``); that order is the stream contract.  Each chunk
+    is walked in blocks of 64, 128, ... draws, so a short chain draws few
+    maps: a block tabulates the jump map of every state for each of its
+    draws, composes the maps pairwise to get the states (:func:`_walk`), and
+    sums the holding times with one cumulative sum, which adds in the same
+    order as a jump-by-jump loop and so gives the same bits.  The walk stops
+    at the first absorbing state or the first jump time at or past the
+    horizon.
+    """
+    if not (eps > 0 and 0 < horizon < np.inf):
+        raise ValueError("eps and horizon must be positive and the horizon finite")
     q = qtilde.rates / eps + qhat.rates
     n = q.shape[0]
     if not 0 <= r0 < n:
         raise ValueError(f"initial state {r0} out of range")
-    exit_rates = -np.diag(q)
-    # row-wise jump kernel as cumulative probabilities
     kernel = q.copy()
     np.fill_diagonal(kernel, 0.0)
-    cum = np.zeros_like(kernel)
-    for i in range(n):
-        cum[i] = np.cumsum(kernel[i]) / exit_rates[i] if exit_rates[i] > 0 else 1.0
+    # a state with no jump target never leaves, even if rounding left its exit rate > 0
+    exit_rates = np.where(kernel.max(axis=1) > 0, -np.diag(q), 0.0)
+    # an absorbing state's holding time is discarded; inf keeps it finite
+    hold_rates = np.where(exit_rates > 0, exit_rates, np.inf)
+    # row-wise jump kernel as cumulative probabilities; from its last target on
+    # a row reads exactly 1, so rounding cannot map a draw past the last state
+    cum = np.ones_like(kernel)
+    for i in np.flatnonzero(exit_rates > 0):
+        last = np.flatnonzero(kernel[i])[-1]
+        cum[i, :last] = np.cumsum(kernel[i, :last]) / exit_rates[i]
 
     gen = rng.generator()
-    times = [0.0]
-    states = [r0]
+    exps = gen.standard_exponential(_CHUNK)
+    unis = gen.random(_CHUNK)
+    times, states = [np.zeros(1)], [np.array([r0])]
     t, state = 0.0, r0
-    # draw randoms in chunks to keep the event loop lean
-    chunk = 4096
-    exps = gen.standard_exponential(chunk)
-    unis = gen.random(chunk)
-    pos = 0
-    while True:
-        rate = exit_rates[state]
-        if rate <= 0:
-            break
-        if pos >= chunk:
-            exps = gen.standard_exponential(chunk)
-            unis = gen.random(chunk)
+    pos, block = 0, _FIRST_BLOCK
+    while exit_rates[state] > 0:
+        if pos == _CHUNK:
+            exps = gen.standard_exponential(_CHUNK)
+            unis = gen.random(_CHUNK)
             pos = 0
-        t += exps[pos] / rate
-        if t >= horizon:
+        m = min(block, _CHUNK - pos)
+        block = min(2 * block, _CHUNK)
+        u = unis[pos : pos + m]
+        maps = np.empty((m, n), dtype=np.intp)
+        for s in range(n):
+            maps[:, s] = np.searchsorted(cum[s], u, side="right")
+        after = _walk(maps, state)
+        before = np.concatenate(([state], after[:-1]))
+        t_after = np.cumsum(np.concatenate(([t], exps[pos : pos + m] / hold_rates[before])))[1:]
+        taken = (exit_rates[before] > 0) & (t_after < horizon)
+        k = m if taken.all() else int(np.argmin(taken))
+        times.append(t_after[:k])
+        states.append(after[:k])
+        if k < m:
             break
-        state = int(np.searchsorted(cum[state], unis[pos], side="right"))
-        pos += 1
-        times.append(t)
-        states.append(state)
-    return ChainPath(np.array(times), np.array(states), horizon)
+        t, state = t_after[-1], after[-1]
+        pos += m
+    return ChainPath(np.concatenate(times), np.concatenate(states), horizon)
 
 
 def aggregate_path(path: ChainPath, partition: ClassPartition) -> ChainPath:

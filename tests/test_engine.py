@@ -262,6 +262,13 @@ def test_fast_slow_substep_count_matches_reference():
     assert gap_y < 1e-10
 
 
+def test_fast_slow_substep_count_ignores_quotient_rounding():
+    # dt / (c_sub eps) = 0.07 / 0.01 evaluates to 7.000000000000001: 7 substeps, not 8
+    gap_x, gap_y = _reference_fast_slow_gap(0.07, 3, eps=0.02, c_sub=0.5, n_sub=7)
+    assert gap_x < 1e-10
+    assert gap_y < 1e-10
+
+
 def test_non_uniform_grid_rejected():
     grid = np.array([0.0, 0.1, 0.3, 0.4])
     with pytest.raises(ValueError, match="uniform"):

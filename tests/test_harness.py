@@ -421,6 +421,37 @@ def test_cli_converge_single_path_is_input_error(small_cfg_file, tmp_path, capsy
     assert "n_paths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "aggregate"])
+@pytest.mark.parametrize("r0", [0, 9])
+def test_cli_initial_state_out_of_range_is_input_error(tmp_path, capsys, command, r0):
+    path = tmp_path / "agg.cfg"
+    path.write_text(SMALL_AGGREGATE + f"r0 = {r0}\n", encoding="utf-8")
+    args = [command, "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+    assert cli.main(args) == 2
+    assert not (tmp_path / "o").exists()
+    assert "r0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ('alpha = "x"', "alpha"),
+        ("eps_grid = 0.1", "eps_grid"),
+        ('eps_grid = [0.1, "a"]', "eps_grid"),
+        ("k_trunc = 2.5", "k_trunc"),
+        ("r0 = 1.0", "r0"),
+    ],
+    ids=["alpha_text", "eps_grid_scalar", "eps_grid_text_entry", "k_trunc_real", "r0_real"],
+)
+def test_cli_mistyped_value_is_input_error(tmp_path, capsys, line, key):
+    path = tmp_path / "typo.cfg"
+    path.write_text(SMALL_SWITCHING + line + "\n", encoding="utf-8")
+    args = ["check", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+    assert cli.main(args) == 2
+    assert not (tmp_path / "o").exists()
+    assert key in capsys.readouterr().err
+
+
 def test_package_imports_without_scipy():
     src = Path(stablespde.__file__).resolve().parent.parent
     code = "import sys, stablespde; print('scipy' in sys.modules)"

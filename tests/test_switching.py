@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,10 @@ from stablespde import (
     simulate_chain,
     stationary_distribution,
 )
+from stablespde.config import load_config
+from stablespde.rng import CHAIN_TAG
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SYM2 = GeneratorMatrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
 
@@ -109,6 +115,133 @@ def test_simulate_chain_jump_count_poisson_oracle():
     lam = horizon / eps
     se = np.sqrt(lam / n_paths)
     assert abs(counts.mean() - lam) < 3 * se
+
+
+def _reference_chain(qtilde, qhat, eps, r0, horizon, rng):
+    """The jump-by-jump Gillespie loop that simulate_chain must reproduce bit for bit."""
+    q = qtilde.rates / eps + qhat.rates
+    n = q.shape[0]
+    exit_rates = -np.diag(q)
+    kernel = q.copy()
+    np.fill_diagonal(kernel, 0.0)
+    cum = np.zeros_like(kernel)
+    for i in range(n):
+        cum[i] = np.cumsum(kernel[i]) / exit_rates[i] if exit_rates[i] > 0 else 1.0
+    gen = rng.generator()
+    times, states = [0.0], [r0]
+    t, state = 0.0, r0
+    chunk = 4096
+    exps = gen.standard_exponential(chunk)
+    unis = gen.random(chunk)
+    pos = 0
+    while True:
+        rate = exit_rates[state]
+        if rate <= 0:
+            break
+        if pos >= chunk:
+            exps = gen.standard_exponential(chunk)
+            unis = gen.random(chunk)
+            pos = 0
+        t += exps[pos] / rate
+        if t >= horizon:
+            break
+        state = int(np.searchsorted(cum[state], unis[pos], side="right"))
+        pos += 1
+        times.append(t)
+        states.append(state)
+    return np.array(times), np.array(states)
+
+
+def _assert_matches_reference(qtilde, qhat, eps, r0, horizon, rng):
+    path = simulate_chain(qtilde, qhat, eps, r0, horizon, rng)
+    times, states = _reference_chain(qtilde, qhat, eps, r0, horizon, rng)
+    assert path.times.tobytes() == times.tobytes()
+    assert path.states.tolist() == states.tolist()
+    return path
+
+
+def test_simulate_chain_matches_reference_across_chunks():
+    cfg = load_config(CONFIG_DIR / "aggregate.cfg")
+    qt, qh = cfg.generator_pair()
+    rng = RngStream(cfg.seed, 0).substream(CHAIN_TAG)
+    path = _assert_matches_reference(qt, qh, 1e-3, 0, 20.0, rng)
+    assert path.states.size > 5 * 4096  # several draw chunks
+
+
+# absorbed in state 2 after 30 jumps (inside the first 64-draw block), after
+# 64 (its last draw) and after 192 (the last draw of the second block)
+ABSORBING3 = GeneratorMatrix(np.array([[-1.0, 1.0, 0.0], [0.97, -1.0, 0.03], [0.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("seed, n_jumps", [(82, 30), (64, 64), (749, 192)])
+def test_simulate_chain_matches_reference_into_absorbing_state(seed, n_jumps):
+    zero = GeneratorMatrix.zero(3)
+    path = _assert_matches_reference(ABSORBING3, zero, 1.0, 0, 1e6, RngStream(seed))
+    assert path.states.size - 1 == n_jumps
+    assert path.states[-1] == 2
+
+
+def test_simulate_chain_matches_reference_horizon_on_first_draw():
+    path = _assert_matches_reference(SYM2, GeneratorMatrix.zero(2), 1.0, 1, 1e-9, RngStream(3))
+    assert path.states.tolist() == [1]
+
+
+def test_simulate_chain_matches_reference_zero_generator():
+    zero = GeneratorMatrix.zero(3)
+    _assert_matches_reference(zero, zero, 0.5, 2, 7.0, RngStream(4))
+
+
+def test_simulate_chain_matches_reference_switching_single():
+    cfg = load_config(CONFIG_DIR / "switching_single.cfg")
+    qt, qh = cfg.generator_pair()
+    for eps in cfg.eps_grid:
+        for j in range(3):
+            rng = RngStream(cfg.seed, j).substream(CHAIN_TAG)
+            _assert_matches_reference(qt, qh, eps, cfg.r0 - 1, cfg.T, rng)
+
+
+@pytest.mark.parametrize("r0", [-1, 2])
+def test_simulate_chain_rejects_initial_state_out_of_range(r0):
+    with pytest.raises(ValueError, match="initial state"):
+        simulate_chain(SYM2, GeneratorMatrix.zero(2), 0.1, r0, 1.0, RngStream(0))
+
+
+@pytest.mark.parametrize("horizon", [np.inf, np.nan])
+def test_simulate_chain_rejects_non_finite_horizon(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        simulate_chain(SYM2, GeneratorMatrix.zero(2), 0.1, 0, horizon, RngStream(0))
+
+
+class _FixedDraws:
+    """A stream whose generator hands out the given exponentials and uniforms."""
+
+    def __init__(self, exps, unis):
+        self.exps, self.unis = np.asarray(exps, dtype=float), np.asarray(unis, dtype=float)
+
+    def generator(self):
+        return self
+
+    def standard_exponential(self, size):
+        return np.resize(self.exps, size)
+
+    def random(self, size):
+        return np.resize(self.unis, size)
+
+
+def test_simulate_chain_draw_above_a_rounded_row_sum_picks_the_last_target():
+    # row 0 sums to -1e-13, inside the generator tolerance: its jump probability
+    # to state 1 is 1 - 1e-13, and a uniform above that still jumps to state 1
+    q = GeneratorMatrix(np.array([[-1.0, 1.0 - 1e-13], [1.0, -1.0]]))
+    path = simulate_chain(q, GeneratorMatrix.zero(2), 1.0, 0, 1.5, _FixedDraws([1.0], [1 - 1e-14]))
+    assert path.states.tolist() == [0, 1]
+    assert path.times.tolist() == [0.0, 1.0]
+
+
+def test_simulate_chain_state_without_target_holds():
+    # row 0 has no jump target but, inside the row-sum tolerance, exit rate 1e-13
+    q = GeneratorMatrix(np.array([[-1e-13, 0.0], [1.0, -1.0]]))
+    path = _assert_matches_reference(q, GeneratorMatrix.zero(2), 1.0, 0, 5.0, RngStream(5))
+    assert path.states.tolist() == [0]
 
 
 def test_aggregate_path_identity_for_singletons():
