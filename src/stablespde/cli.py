@@ -7,7 +7,6 @@ files plus one summary.json per run; fixed seeds give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -22,8 +21,6 @@ EXIT_OK = 0
 EXIT_CONDITION = 1
 EXIT_INPUT = 2
 
-SEED_ENV_VAR = "STABLESPDE_SEED"
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -32,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_ in [
-        ("check", "evaluate every standing assumption for a configuration"),
+        ("check", "reject malformed input, then evaluate every standing assumption"),
         ("simulate", "dump one seeded trajectory"),
         ("converge", "coupled eps-sweep with rate fit"),
         ("freeze", "frozen-equation averaged-drift estimates and decay probe"),
@@ -51,11 +48,9 @@ def _load(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    elif os.environ.get(SEED_ENV_VAR):
-        cfg.seed = int(os.environ[SEED_ENV_VAR])
     if args.paths is not None:
         cfg.n_paths = args.paths
-        cfg.validate()
+    cfg.validate()
     return cfg
 
 
@@ -193,7 +188,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConditionError as exc:

@@ -2,17 +2,21 @@
 
 Format: one ``key = value`` per line, ``#`` comments, values in Python literal
 syntax (reals, integers, lists, inline matrices as nested bracketed lists).
-Unknown keys are hard errors.  The full key schema is the ``_SCHEMA`` table
-below and is documented in the README.
+Unknown keys are hard errors.  The key schema is the field list of
+``ExperimentConfig`` below and is documented in the README.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, fields
+import math
+import sys
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .averaging import ErgodicEstimatorConfig
 from .drifts import (
     LinearRegimeDrift,
     SaturatingCoupledDrift,
@@ -78,6 +82,8 @@ class ExperimentConfig:
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
+        """Reject malformed input with a ConfigError naming the key, then build
+        every object the scenario's commands use; assumptions are ``run_check``'s."""
         for f in fields(self):
             _check_type(f.name, f.type, getattr(self, f.name))
         if self.scenario not in SCENARIOS:
@@ -88,103 +94,122 @@ class ExperimentConfig:
             raise ConfigError(f"beta must lie in (1, 2], got {self.beta}")
         if not 1.0 < self.p < self.alpha:
             raise ConfigError(f"p must lie in (1, alpha), got p={self.p}, alpha={self.alpha}")
-        try:
-            eps = np.asarray(self.eps_grid, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"eps_grid must be a list of reals: {exc}") from exc
+        with _naming("eps_grid"):
+            eps = _reals(self.eps_grid)
         if eps.ndim != 1 or eps.size == 0 or not np.all(eps > 0) or np.any(np.diff(eps) >= 0):
             raise ConfigError("eps_grid must be strictly decreasing and positive")
-        if self.k_trunc < 1 or self.T <= 0 or self.dt <= 0 or self.n_paths < 1:
-            raise ConfigError("k_trunc, T, dt, n_paths must be positive")
-        n_steps = self.T / self.dt
+        for key in _POSITIVE:
+            if getattr(self, key) is not None and getattr(self, key) <= 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        for key, low in _AT_LEAST.items():
+            if getattr(self, key) is not None and getattr(self, key) < low:
+                raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
+        n_steps = self.T / self.dt if _is_real(self.T) and _is_real(self.dt) else math.inf
         if not np.isfinite(n_steps) or abs(round(n_steps) * self.dt - self.T) > 1e-9 * self.T:
             raise ConfigError(f"T = {self.T} is not a whole number of dt = {self.dt} steps")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "float" in f.type and value is not None and not _is_real(value):
+                raise ConfigError(f"{f.name} must be a finite real, got {value!r}")
         if self.drift not in DRIFT_KINDS:
             raise ConfigError(f"unknown drift {self.drift!r}; pick one of {DRIFT_KINDS}")
-        if self.scenario in ("switching-single", "switching-multiclass"):
-            if self.qtilde is None:
-                raise ConfigError(f"scenario {self.scenario} requires qtilde")
-            if not 1 <= self.r0 <= len(self.qtilde):
-                raise ConfigError(
-                    f"r0 = {self.r0} is not a state of the {len(self.qtilde)}-state chain"
-                )
+        if self.scenario != "fast-slow" and self.qtilde is None:
+            raise ConfigError(f"scenario {self.scenario} requires qtilde")
         if self.scenario == "switching-multiclass" and self.partition is None:
             raise ConfigError("switching-multiclass requires partition")
 
+        self.op_a(), self.weights_l(), self.initial_state()
+        if self.scenario == "fast-slow":
+            self.weights_z(), self.initial_fast_state()
+            mixing = self.op_b().lambda_1 - self.fast_coupled_drift().grad_y_bound
+            if mixing > 0:  # else the ergodicity condition fails and nothing is estimated
+                with _naming("est_burn_in, est_horizon"):
+                    self.estimator_config().resolve(mixing)
+            return
+        n = self.generator_pair()[0].n_states
+        if not 1 <= self.r0 <= n:
+            raise ConfigError(f"r0 = {self.r0} is not a state of the {n}-state chain")
+        drift, linear = self.regime_drift(), self.drift == "linear-reaction"
+        if (drift.coeffs if linear else drift.gains).shape != (n,):
+            key = "drift_coeffs" if linear else "drift_gains"
+            raise ConfigError(f"{key} must have one entry per chain state ({n})")
+        if not linear and drift.offsets.shape not in ((n,), (n, self.k_trunc)):
+            raise ConfigError(f"drift_offsets must have shape ({n},) or ({n}, k_trunc)")
+        if self.scenario == "switching-multiclass":
+            if self.class_partition().n_states != n:
+                raise ConfigError(f"partition must cover the {n} states of qtilde exactly")
+            self.qtilde_blocks()
+
     # -- constructors for the domain objects ---------------------------
     def op_a(self) -> SpectralOperator:
-        return SpectralOperator.from_rule(PowerLawRule(*self.operator_a), self.k_trunc)
+        return self._power_law("operator_a", SpectralOperator)
 
     def op_b(self) -> SpectralOperator:
-        return SpectralOperator.from_rule(PowerLawRule(*self.operator_b), self.k_trunc)
+        return self._power_law("operator_b", SpectralOperator)
 
     def weights_l(self) -> NoiseWeights:
-        return NoiseWeights.from_rule(PowerLawRule(*self.noise_l), self.k_trunc)
+        return self._power_law("noise_l", NoiseWeights)
 
     def weights_z(self) -> NoiseWeights:
-        return NoiseWeights.from_rule(PowerLawRule(*self.noise_z), self.k_trunc)
+        return self._power_law("noise_z", NoiseWeights)
+
+    def _power_law(self, key: str, sequence):
+        """An operator or noise weights from the ``[c, exponent]`` rule under ``key``."""
+        with _naming(key):
+            rule = PowerLawRule(*_reals(getattr(self, key), (2,)).tolist())
+            return sequence.from_rule(rule, self.k_trunc)
 
     def initial_state(self) -> np.ndarray:
         if self.x0 is not None:
-            x = np.asarray(self.x0, dtype=float)
-            if x.size != self.k_trunc:
-                raise ConfigError("x0 length must equal k_trunc")
-            return x
+            return self._modes("x0")
         k = np.arange(1, self.k_trunc + 1, dtype=float)
         return k**-self.x0_decay
 
     def initial_fast_state(self) -> np.ndarray:
-        if self.y0 is not None:
-            y = np.asarray(self.y0, dtype=float)
-            if y.size != self.k_trunc:
-                raise ConfigError("y0 length must equal k_trunc")
-            return y
-        return np.zeros(self.k_trunc)
+        return self._modes("y0") if self.y0 is not None else np.zeros(self.k_trunc)
+
+    def _modes(self, key: str) -> np.ndarray:
+        """The explicit coefficients under ``key``, one per retained mode."""
+        with _naming(key):
+            x = _reals(getattr(self, key))
+        if x.shape != (self.k_trunc,):
+            raise ConfigError(f"{key} length must equal k_trunc")
+        return x
 
     def generator_pair(self) -> tuple[GeneratorMatrix, GeneratorMatrix]:
-        try:
-            qt = GeneratorMatrix(np.asarray(self.qtilde, dtype=float))
-        except ValueError as exc:
-            raise ConfigError(f"qtilde: {exc}") from exc
+        with _naming("qtilde"):
+            qt = GeneratorMatrix(_reals(self.qtilde))
         if self.qhat is None:
             return qt, GeneratorMatrix.zero(qt.n_states)
-        try:
-            qh = GeneratorMatrix(np.asarray(self.qhat, dtype=float))
-        except ValueError as exc:
-            raise ConfigError(f"qhat: {exc}") from exc
-        if qh.n_states != qt.n_states:
-            raise ConfigError("qtilde and qhat dimensions differ")
-        return qt, qh
+        with _naming("qhat"):
+            return qt, GeneratorMatrix(_reals(self.qhat, qt.rates.shape))
 
     def class_partition(self) -> ClassPartition:
-        try:
+        with _naming("partition"):
+            states = [s for blk in self.partition for s in blk]
+            if not all(isinstance(s, int) and not isinstance(s, bool) for s in states):
+                raise ValueError(f"states must be integers, got {self.partition!r}")
             return ClassPartition(tuple(tuple(s - 1 for s in blk) for blk in self.partition))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"partition: {exc}") from exc
 
     def qtilde_blocks(self) -> list[GeneratorMatrix]:
         qt, _ = self.generator_pair()
-        part = self.class_partition()
-        blocks = []
-        for blk in part.classes:
-            idx = np.asarray(blk)
-            blocks.append(GeneratorMatrix(qt.rates[np.ix_(idx, idx)]))
-        return blocks
+        with _naming("partition"):  # qtilde must be block diagonal over the classes
+            return [GeneratorMatrix(qt.rates[np.ix_(b, b)]) for b in self.class_partition().classes]
 
     def regime_drift(self):
         if self.drift == "linear-reaction":
             if self.drift_coeffs is None:
                 raise ConfigError("linear-reaction drift requires drift_coeffs")
-            return LinearRegimeDrift(np.asarray(self.drift_coeffs, dtype=float))
+            with _naming("drift_coeffs"):
+                return LinearRegimeDrift(_reals(self.drift_coeffs))
         if self.drift_gains is None:
             raise ConfigError("bounded-saturating drift requires drift_gains")
-        gains = np.asarray(self.drift_gains, dtype=float)
-        offsets = (
-            np.asarray(self.drift_offsets, dtype=float)
-            if self.drift_offsets is not None
-            else np.zeros(gains.size)
-        )
-        return SaturatingRegimeDrift(gains, offsets)
+        with _naming("drift_gains"):
+            gains = _reals(self.drift_gains)
+        if self.drift_offsets is None:
+            return SaturatingRegimeDrift(gains, np.zeros(gains.size))
+        with _naming("drift_offsets"):
+            return SaturatingRegimeDrift(gains, _reals(self.drift_offsets))
 
     def slow_coupled_drift(self) -> SaturatingCoupledDrift:
         return SaturatingCoupledDrift(self.slow_gain_x, self.slow_gain_y, self.slow_offset)
@@ -194,8 +219,39 @@ class ExperimentConfig:
         # invariant measure does not vary with the slow state
         return SaturatingCoupledDrift(0.0, self.fast_gain_y, 0.0)
 
+    def estimator_config(self) -> ErgodicEstimatorConfig:
+        return ErgodicEstimatorConfig(self.est_dt, self.est_burn_in, self.est_horizon, self.est_reps)
+
+
+@contextmanager
+def _naming(key: str):
+    """Report a constructor's TypeError/ValueError as a ConfigError naming ``key``."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _is_real(value) -> bool:
+    """A finite int or float; bool is never a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max  # False for inf, nan and ints beyond a float
+
+
+def _reals(value, shape=None) -> np.ndarray:
+    """A (nested) list of finite reals as a float array, of ``shape`` if given."""
+    if not all(map(_is_real, np.asarray(value, dtype=object).ravel())):
+        raise ValueError(f"entries must be finite reals, got {value!r}")
+    if shape is not None and np.shape(value) != shape:
+        raise ValueError(f"expected {len(shape)}-d shape {shape}, got {value!r}")
+    return np.asarray(value, dtype=float)
+
 
 _FIELDS = {f.name for f in fields(ExperimentConfig)}
+_POSITIVE = ("T", "dt", "c_sub", "est_dt", "est_horizon")
+_AT_LEAST = {"k_trunc": 1, "n_paths": 1, "seed": 0, "n_batches": 2, "checkpoints": 1,
+             "est_reps": 1, "est_burn_in": 0}
 # field annotation -> accepted Python types; bool is never a number here
 _KINDS = {"str": (str,), "int": (int,), "float": (int, float), "list": (list, tuple)}
 
@@ -228,7 +284,7 @@ def parse_config(text: str) -> ExperimentConfig:
         else:
             try:
                 parsed = ast.literal_eval(value)
-            except (ValueError, SyntaxError) as exc:
+            except (ValueError, SyntaxError, TypeError) as exc:
                 raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {exc}") from exc
         setattr(cfg, key, parsed)
     cfg.validate()
@@ -242,7 +298,4 @@ def load_config(path) -> ExperimentConfig:
 
 def config_echo(cfg: ExperimentConfig) -> dict:
     """JSON-serializable echo of the configuration."""
-    out = {}
-    for f in fields(ExperimentConfig):
-        out[f.name] = getattr(cfg, f.name)
-    return out
+    return asdict(cfg)

@@ -2,9 +2,9 @@
 
 Two shapes of drift appear: regime drifts b(x, i) indexed by a finite chain
 state, and coupled drifts b(x, y) / f(x, y) taking a second field argument.
-Each drift declares its regularity constants (Lipschitz bounds, uniform bound,
-directional-derivative bounds) as upper bounds; ``harness.run_check`` reads
-them when it tests the standing assumptions of a configuration.
+Each drift declares, as upper bounds, the regularity constants that
+``harness.run_check`` reads: Lipschitz constants of the regime drifts, and the
+bound on the derivative in y and the uniform bound of the coupled drifts.
 
 The saturating nonlinearity is tanh: odd, bounded, 1-Lipschitz.
 """
@@ -36,8 +36,6 @@ class LinearRegimeDrift:
     def lipschitz(self) -> np.ndarray:
         return np.abs(self.coeffs)
 
-    bound = None  # unbounded
-
 
 @dataclass(frozen=True)
 class SaturatingRegimeDrift:
@@ -61,13 +59,6 @@ class SaturatingRegimeDrift:
     def lipschitz(self) -> np.ndarray:
         return np.abs(self.gains)
 
-    def bound_for(self, k_trunc: int) -> float:
-        off = np.atleast_2d(self.offsets)
-        return float(
-            np.max(np.abs(self.gains)) * np.sqrt(k_trunc)
-            + np.max(np.linalg.norm(np.broadcast_to(off, (self.n_regimes, off.shape[-1])), axis=-1))
-        )
-
 
 @dataclass(frozen=True)
 class SaturatingCoupledDrift:
@@ -86,10 +77,6 @@ class SaturatingCoupledDrift:
         return self.gain_x * np.tanh(x) + self.gain_y * np.tanh(y) + self.offset
 
     @property
-    def grad_x_bound(self) -> float:
-        return abs(self.gain_x)
-
-    @property
     def grad_y_bound(self) -> float:
         return abs(self.gain_y)
 
@@ -102,8 +89,4 @@ class ZeroCoupledDrift:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.zeros(np.broadcast(x, y).shape)
 
-    grad_x_bound = 0.0
     grad_y_bound = 0.0
-
-    def bound_for(self, k_trunc: int) -> float:
-        return 0.0

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import (
-    ErgodicEstimatorConfig,
     estimate_ergodic_drift,
     ergodic_decay_probe,
     fit_decay_rate,
@@ -140,32 +139,23 @@ def run_check(cfg: ExperimentConfig):
     )
 
     if cfg.scenario in ("switching-single", "switching-multiclass"):
-        try:
-            qt, qh = cfg.generator_pair()
-            add("generator validity", True, f"n = {qt.n_states}")
-        except Exception as exc:
-            add("generator validity", False, str(exc))
-            qt = None
-        if qt is not None and cfg.scenario == "switching-single":
+        qt, _ = cfg.generator_pair()
+        add("generator validity", True, f"n = {qt.n_states}")
+        if cfg.scenario == "switching-single":
             try:
                 nu = stationary_distribution(qt)
                 add("weak irreducibility", True, f"nu = {np.round(nu, 6).tolist()}")
             except ValueError as exc:
                 add("weak irreducibility", False, str(exc))
-        if qt is not None and cfg.scenario == "switching-multiclass":
+        else:
             try:
-                for i, blk in enumerate(cfg.qtilde_blocks()):
+                for blk in cfg.qtilde_blocks():
                     stationary_distribution(blk)
                 add("block irreducibility", True, f"{cfg.class_partition().n_classes} classes")
             except ValueError as exc:
                 add("block irreducibility", False, str(exc))
-        drift = cfg.regime_drift()
-        lips = np.asarray(drift.lipschitz, dtype=float)
-        add(
-            "drift Lipschitz declared",
-            lips.size == qt.n_states if qt is not None else False,
-            f"K = {lips.tolist()}",
-        )
+        lips = np.asarray(cfg.regime_drift().lipschitz, dtype=float)
+        add("drift Lipschitz declared", lips.size == qt.n_states, f"K = {lips.tolist()}")
 
     if fast:
         mu1 = cfg.op_b().lambda_1
@@ -211,9 +201,6 @@ def averaged_fast_slow_drift(cfg: ExperimentConfig, rng: RngStream):
     gain_x tanh(z) + gain_y * m + offset with m = int tanh(u) pi(du), which is
     estimated once.  Returns (callable, m, se(m)).
     """
-    est_cfg = ErgodicEstimatorConfig(
-        dt=cfg.est_dt, burn_in=cfg.est_burn_in, horizon=cfg.est_horizon, n_reps=cfg.est_reps
-    )
     m, se = estimate_ergodic_drift(
         np.zeros(cfg.k_trunc),
         cfg.fast_coupled_drift(),
@@ -221,7 +208,7 @@ def averaged_fast_slow_drift(cfg: ExperimentConfig, rng: RngStream):
         cfg.op_b(),
         cfg.weights_z(),
         cfg.beta,
-        est_cfg,
+        cfg.estimator_config(),
         rng,
     )
     slow = cfg.slow_coupled_drift()
@@ -347,9 +334,7 @@ def run_freeze(cfg: ExperimentConfig):
     fast = cfg.fast_coupled_drift()
     slow = cfg.slow_coupled_drift()
     observable = lambda z, u: slow(z, u)
-    est_cfg = ErgodicEstimatorConfig(
-        dt=cfg.est_dt, burn_in=cfg.est_burn_in, horizon=cfg.est_horizon, n_reps=cfg.est_reps
-    )
+    est_cfg = cfg.estimator_config()
     x0 = cfg.initial_state()
     z_grid = [np.zeros(cfg.k_trunc), x0, 2.0 * x0]
 
@@ -454,32 +439,15 @@ def synthesize_point(coeffs: np.ndarray, x: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(path: Path, header: str, rows) -> None:
+    """One line per row; str of a Python float is its shortest round-trip repr."""
     lines = [header]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(str, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def write_summary(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # numpy arrays and scalars that are not float subclasses go through .tolist()
+    text = json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    path.write_text(text + "\n", encoding="utf-8")

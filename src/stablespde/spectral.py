@@ -32,8 +32,8 @@ class SpectralOperator:
         object.__setattr__(self, "eigenvalues", lam)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
-        if lam[0] <= 0 or np.any(np.diff(lam) <= 0):
-            raise ValueError("eigenvalues must be positive and strictly increasing")
+        if not np.all(np.isfinite(lam)) or lam[0] <= 0 or np.any(np.diff(lam) <= 0):
+            raise ValueError("eigenvalues must be finite, positive and strictly increasing")
 
     @classmethod
     def from_rule(cls, rule: PowerLawRule, k_trunc: int) -> "SpectralOperator":

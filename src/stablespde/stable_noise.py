@@ -43,8 +43,8 @@ class NoiseWeights:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d sequence")
-        if not np.all(w > 0):
-            raise ValueError("all noise weights must be positive")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("all noise weights must be positive and finite")
 
     @classmethod
     def from_rule(cls, rule: PowerLawRule, k_trunc: int) -> "NoiseWeights":

@@ -1,14 +1,18 @@
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stablespde
 from stablespde import cli
-from stablespde.config import parse_config
+from stablespde.config import ExperimentConfig, parse_config
 from stablespde.harness import (
     ConditionError,
     ErrorTable,
@@ -39,6 +43,8 @@ eps_grid = [0.1, 0.05, 0.02]
 qtilde = [[-1.0, 1.0], [1.0, -1.0]]
 drift_coeffs = [0.3, 0.9]
 """
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL_FAST_SLOW = """
 scenario = "fast-slow"
@@ -298,6 +304,15 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     bad.write_text("alphaa = 1\n", encoding="utf-8")
     assert cli.main(["check", "--config", str(bad)]) == 2
     assert "input error" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"# \xe9\n")
+    for unreadable in (latin1, tmp_path):  # not UTF-8; a directory
+        assert cli.main(["check", "--config", str(unreadable)]) == 2
+        assert "input error" in capsys.readouterr().err
+    ok = tmp_path / "ok.cfg"
+    ok.write_text(SMALL_SWITCHING, encoding="utf-8")
+    assert cli.main(["check", "--config", str(ok), "--out", str(bad), "--quiet"]) == 2  # a file
+    assert "input error" in capsys.readouterr().err
 
 
 def test_cli_converge_outputs_deterministic(small_cfg_file, tmp_path):
@@ -319,17 +334,6 @@ def test_cli_seed_flag_changes_output(small_cfg_file, tmp_path):
     cli.main(args + ["--out", str(tmp_path / "b"), "--seed", "99"])
     assert (tmp_path / "a" / "converge.csv").read_bytes() != (
         tmp_path / "b" / "converge.csv"
-    ).read_bytes()
-
-
-def test_cli_seed_env_var(small_cfg_file, tmp_path, monkeypatch):
-    args = ["converge", "--config", str(small_cfg_file), "--paths", "8", "--quiet"]
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "99")
-    cli.main(args + ["--out", str(tmp_path / "env")])
-    monkeypatch.delenv(cli.SEED_ENV_VAR)
-    cli.main(args + ["--out", str(tmp_path / "flag"), "--seed", "99"])
-    assert (tmp_path / "env" / "converge.csv").read_bytes() == (
-        tmp_path / "flag" / "converge.csv"
     ).read_bytes()
 
 
@@ -450,6 +454,118 @@ def test_cli_mistyped_value_is_input_error(tmp_path, capsys, line, key):
     assert cli.main(args) == 2
     assert not (tmp_path / "o").exists()
     assert key in capsys.readouterr().err
+
+
+# (preset, appended config lines, CLI flags, key the message names, a later
+# command that crashed or misreported on this input before it was rejected at load)
+MALFORMED = [
+    pytest.param("switching_single.cfg", 'qtilde = [[-1.0, "a"], [1.0, -1.0]]', [], "qtilde", None,
+                 id="qtilde_text_entry"),
+    pytest.param("switching_multiclass.cfg", "qhat = [[-1.0, 1.0], [1.0, -1.0]]", [], "qhat", None,
+                 id="qhat_other_size"),
+    pytest.param("switching_multiclass.cfg", "partition = [[1, 2], [3]]", [], "partition", None,
+                 id="partition_short"),
+    pytest.param("switching_multiclass.cfg", "partition = [1, 2]", [], "partition", None,
+                 id="partition_flat"),
+    pytest.param("aggregate.cfg", "drift_coeffs = [0.3, 0.9]", [], "drift_coeffs", None,
+                 id="drift_coeffs_short"),
+    pytest.param("aggregate.cfg", 'drift_coeffs = ["a", 1, 2, 3]', [], "drift_coeffs", None,
+                 id="drift_coeffs_text_entry"),
+    pytest.param("switching_single.cfg", "operator_a = [1.0, -2.0]", [], "operator_a", None,
+                 id="operator_a_decreasing"),
+    pytest.param("switching_single.cfg", "operator_a = [1.0]", [], "operator_a", None,
+                 id="operator_a_one_entry"),
+    pytest.param("switching_single.cfg", "noise_l = [-1.0, -2.0]", [], "noise_l", None,
+                 id="noise_l_negative"),
+    pytest.param("switching_single.cfg", "checkpoints = 0", [], "checkpoints", "converge",
+                 id="checkpoints_zero"),
+    pytest.param("switching_single.cfg", "n_batches = 0", [], "n_batches", "converge",
+                 id="n_batches_zero"),
+    pytest.param("switching_single.cfg", "n_batches = 1", [], "n_batches", "converge",
+                 id="n_batches_one"),
+    pytest.param("switching_single.cfg", "dt = 1e999", [], "dt", "converge", id="dt_infinite"),
+    pytest.param("switching_single.cfg", "seed = -1", [], "seed", "converge", id="seed_negative"),
+    pytest.param("switching_single.cfg", "", ["--seed", "-5"], "seed", "converge",
+                 id="seed_flag_negative"),
+    pytest.param("switching_single.cfg", "eps_grid = [True]", [], "eps_grid", "converge",
+                 id="eps_grid_bool"),
+    pytest.param("fast_slow.cfg", "c_sub = 0.0", [], "c_sub", "converge", id="c_sub_zero"),
+    pytest.param("fast_slow.cfg", "est_reps = 0", [], "est_reps", "freeze", id="est_reps_zero"),
+    pytest.param("fast_slow.cfg", "est_dt = 0.0", [], "est_dt", "freeze", id="est_dt_zero"),
+    pytest.param("fast_slow.cfg", "est_burn_in = 5.0\nest_horizon = 4.0", [], "est_horizon",
+                 "freeze", id="est_burn_in_past_horizon"),
+    pytest.param("fast_slow.cfg", "est_horizon = 0.0\nest_burn_in = -1.0", [], "est_horizon",
+                 "freeze", id="est_horizon_zero"),
+]
+
+
+@pytest.mark.parametrize("preset, lines, flags, key, later", MALFORMED)
+def test_cli_malformed_input_is_input_error(tmp_path, capsys, preset, lines, flags, key, later):
+    path = tmp_path / preset
+    path.write_text((CONFIG_DIR / preset).read_text() + lines + "\n", encoding="utf-8")
+    for command in ["check"] + ([later] if later else []):
+        out = tmp_path / command
+        args = [command, "--config", str(path), "--out", str(out), "--quiet", *flags]
+        assert cli.main(args) == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset, qtilde, condition",
+    [
+        ("switching_single.cfg", "[[0.0, 0.0], [0.0, 0.0]]", "weak irreducibility"),
+        (
+            "switching_multiclass.cfg",
+            "[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, -2, 2], [0, 0, 1, -1]]",
+            "block irreducibility",
+        ),
+    ],
+    ids=["single", "multiclass"],
+)
+def test_cli_reducible_qtilde_is_condition_failure(tmp_path, preset, qtilde, condition):
+    path = tmp_path / preset
+    path.write_text((CONFIG_DIR / preset).read_text() + f"qtilde = {qtilde}\n", encoding="utf-8")
+    args = ["check", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+    assert cli.main(args) == 1
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert [c["name"] for c in summary["conditions"] if not c["passed"]] == [condition]
+
+
+# Builders each scenario's commands call on a config that passed the input gate.
+_BUILDERS = {
+    "switching-single": ("generator_pair", "regime_drift"),
+    "switching-multiclass": ("generator_pair", "regime_drift", "class_partition", "qtilde_blocks"),
+    "fast-slow": ("op_b", "weights_z", "initial_fast_state", "estimator_config"),
+}
+# small ints (k_trunc among them), finite and infinite reals, short strings,
+# short and nested lists, None and a bool, as config literals
+_VALUES = [
+    "-1", "0", "1", "3", "-1.0", "0.0", "0.5", "2.0", "1e999", "-1e999", "'a'", "'fast-slow'",
+    "[]", "[1]", "[0.5, 2.0]", "[1.0, -2.0]", "['a', 1]", "[[1, 2], [3]]", "[[1], [2]]",
+    "[[-1.0, 1.0], [1.0, -1.0]]", "[[0.0, 0.0], [0.0, 0.0]]", "None", "True",
+]
+
+
+@given(
+    base=st.sampled_from([SMALL_SWITCHING, SMALL_AGGREGATE, SMALL_FAST_SLOW]),
+    overrides=st.dictionaries(
+        st.sampled_from(sorted(vars(ExperimentConfig()))), st.sampled_from(_VALUES),
+        min_size=1, max_size=3,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_cli_check_exit_code_is_0_1_or_2(base, overrides):
+    text = base + "".join(f"{k} = {v}\n" for k, v in overrides.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(text, encoding="utf-8")
+        rc = cli.main(["check", "--config", str(path), "--out", str(Path(tmp) / "o"), "--quiet"])
+    assert rc in (0, 1, 2)
+    if rc != 2:
+        cfg = parse_config(text)
+        for name in ("op_a", "weights_l", "initial_state", *_BUILDERS[cfg.scenario]):
+            getattr(cfg, name)()
 
 
 def test_package_imports_without_scipy():

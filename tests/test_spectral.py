@@ -25,6 +25,8 @@ def test_operator_construction_guards():
         SpectralOperator(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         SpectralOperator(np.array([2.0, 1.0]))
+    with pytest.raises(ValueError):
+        SpectralOperator(np.array([1.0, np.inf]))
     op = rod_operator(4)
     assert np.allclose(op.eigenvalues, [1, 4, 9, 16])
     assert op.lambda_1 == 1.0

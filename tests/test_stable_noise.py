@@ -24,6 +24,8 @@ def stable_cf(alpha, u, scale=1.0):
 def test_noise_weights_require_positive_entries():
     with pytest.raises(ValueError):
         NoiseWeights(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        NoiseWeights(np.array([1.0, np.inf]))
     w = NoiseWeights.from_rule(PowerLawRule(1.0, -2.0), 5)
     assert np.allclose(w.weights, [1, 0.25, 1 / 9, 1 / 16, 1 / 25])
 
