@@ -104,8 +104,7 @@ def estimate_ergodic_drift(
     grid = np.linspace(0.0, n_steps * config.dt, n_steps + 1)
     keep = grid > burn
 
-    rep_means = []
-    batch_vars = []
+    rep_means, batch_vars = [], []
     for rep in range(config.n_reps):
         rec = solve_frozen_fast(z, y0, fast_drift, op_b, w_z, beta, grid, rng.substream(rep))
         states = rec.states[keep]
@@ -114,8 +113,7 @@ def estimate_ergodic_drift(
         batches = np.array_split(values, _N_BATCHES, axis=0)
         bm = np.array([b.mean(axis=0) for b in batches])
         batch_vars.append(bm.var(axis=0, ddof=1) / _N_BATCHES)
-    rep_means = np.array(rep_means)
-    estimate = rep_means.mean(axis=0)
+    estimate = np.mean(rep_means, axis=0)
     se = np.sqrt(np.mean(batch_vars, axis=0) / config.n_reps)
     return estimate, se
 

@@ -33,6 +33,8 @@ class ConfigError(ValueError):
 
 SCENARIOS = ("switching-single", "switching-multiclass", "fast-slow")
 DRIFT_KINDS = ("linear-reaction", "bounded-saturating")
+# The most values, steps or chain jumps a run may ask for (aggregate.cfg: 2e6 jumps).
+MAX_RUN_SIZE = 10**7
 
 
 @dataclass
@@ -117,16 +119,26 @@ class ExperimentConfig:
             raise ConfigError(f"scenario {self.scenario} requires qtilde")
         if self.scenario == "switching-multiclass" and self.partition is None:
             raise ConfigError("switching-multiclass requires partition")
+        k, eps_min = self.k_trunc, float(eps.min())
+        _bound("T / dt grid points x k_trunc modes", (n_steps + 1) * k)
+        _bound("n_paths x eps_grid entries", self.n_paths * eps.size)
 
         self.op_a(), self.weights_l(), self.initial_state()
         if self.scenario == "fast-slow":
+            n_sub = np.ceil(self.dt / self.c_sub / eps_min)
+            _bound("fast substeps T / (c_sub x min eps_grid) x k_trunc modes", n_steps * n_sub * k)
             self.weights_z(), self.initial_fast_state()
             mixing = self.op_b().lambda_1 - self.fast_coupled_drift().grad_y_bound
             if mixing > 0:  # else the ergodicity condition fails and nothing is estimated
                 with _naming("est_burn_in, est_horizon"):
-                    self.estimator_config().resolve(mixing)
+                    _, horizon = self.estimator_config().resolve(mixing)
+                _bound("est_horizon / est_dt steps x k_trunc", np.ceil(horizon / self.est_dt) * k)
             return
-        n = self.generator_pair()[0].n_states
+        qt, qh = self.generator_pair()
+        diagonals = zip(qt.rates.diagonal().tolist(), qh.rates.diagonal().tolist())
+        exit_rate = max(-a / eps_min - b for a, b in diagonals)  # of Qtilde / eps + Qhat
+        _bound("expected chain jumps T x the largest exit rate at min eps_grid", self.T * exit_rate)
+        n = qt.n_states
         if not 1 <= self.r0 <= n:
             raise ConfigError(f"r0 = {self.r0} is not a state of the {n}-state chain")
         drift, linear = self.regime_drift(), self.drift == "linear-reaction"
@@ -221,6 +233,12 @@ class ExperimentConfig:
 
     def estimator_config(self) -> ErgodicEstimatorConfig:
         return ErgodicEstimatorConfig(self.est_dt, self.est_burn_in, self.est_horizon, self.est_reps)
+
+
+def _bound(what: str, size: float) -> None:
+    """Reject a run whose ``what`` (naming its keys) would exceed MAX_RUN_SIZE."""
+    if not size <= MAX_RUN_SIZE:
+        raise ConfigError(f"{what} = {size:.3g} exceeds the run size limit {MAX_RUN_SIZE:.0e}")
 
 
 @contextmanager

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import L_NOISE_TAG, Z_NOISE_TAG, RngStream
+from .rng import Z_NOISE_TAG, RngStream
 from .spectral import FieldState, SpectralOperator
 from .stable_noise import NoiseWeights, convolution_scale, sample_standard_stable
 from .switching import ChainPath
@@ -69,6 +69,11 @@ class TrajectoryRecord:
     fast_states: np.ndarray | None = None
 
 
+def _check_noise(noise, n_steps: int, k: int) -> None:
+    if np.shape(noise) != (n_steps, k):
+        raise ValueError(f"noise must have shape ({n_steps}, {k}), got {np.shape(noise)}")
+
+
 def _check_grid(grid) -> tuple[np.ndarray, float]:
     """The grid as an array and its one step size; steps may differ by rounding only."""
     grid = np.asarray(grid, dtype=float)
@@ -78,6 +83,15 @@ def _check_grid(grid) -> tuple[np.ndarray, float]:
     if not np.all(np.abs(np.diff(grid) - dt) <= 1e-9 * dt):
         raise ValueError("time grid must be uniform")
     return grid, dt
+
+
+def draw_noise(alpha: float, stream: RngStream, n_steps: int, k: int) -> np.ndarray:
+    """(n_steps, k) standard stable variates; row i is the i-th size-k draw on ``stream``."""
+    gen = stream.generator()
+    noise = np.empty((n_steps, k))
+    for i in range(n_steps):
+        noise[i] = sample_standard_stable(alpha, gen, size=k)
+    return noise
 
 
 def _drift_substep(x, plan: MildStepPlan, lam, t0: float, t1: float, chain: ChainPath, drift):
@@ -100,12 +114,12 @@ def _mild_solve(
     weights: NoiseWeights,
     alpha: float,
     grid,
-    rng: RngStream,
+    noise: np.ndarray,
     chain: ChainPath | None = None,
 ) -> TrajectoryRecord:
     """The exponential-Euler loop shared by every single-field solve.
 
-    ``rng`` is the noise substream itself.  Without a chain ``drift`` maps
+    Row i of ``noise`` drives grid step i.  Without a chain ``drift`` maps
     state to state; with one it is called as drift(x, regime) and sub-steps at
     the chain's jump times.
     """
@@ -115,17 +129,16 @@ def _mild_solve(
     x = np.asarray(x0, dtype=float).copy()
     if x.size != op.k_trunc:
         raise ValueError("initial state length must match the truncation level")
-    gen = rng.generator()
+    _check_noise(noise, grid.size - 1, x.size)
     out = np.empty((grid.size, x.size))
     out[0] = x
     plan = make_step_plan(op, weights, alpha, dt)
     for i in range(grid.size - 1):
-        noise = sample_standard_stable(alpha, gen, size=x.size)
         if chain is None:
-            x = step_ou_mode(x, drift(x), plan, noise)
+            x = step_ou_mode(x, drift(x), plan, noise[i])
         else:
             x = _drift_substep(x, plan, op.eigenvalues, grid[i], grid[i + 1], chain, drift)
-            x = x + plan.conv_scale * noise
+            x = x + plan.conv_scale * noise[i]
         out[i + 1] = x
     return TrajectoryRecord(grid, out, chain=chain)
 
@@ -138,13 +151,13 @@ def solve_switching_spde(
     alpha: float,
     chain: ChainPath,
     grid,
-    rng: RngStream,
+    noise: np.ndarray,
 ) -> TrajectoryRecord:
     """Mild stepper for the regime-switching field; the chain path is exact input.
 
-    ``drift`` is called as drift(x, regime).
+    ``drift`` is called as drift(x, regime); ``noise`` holds one row per grid step.
     """
-    return _mild_solve(x0, drift, op_a, w_l, alpha, grid, rng.substream(L_NOISE_TAG), chain)
+    return _mild_solve(x0, drift, op_a, w_l, alpha, grid, noise, chain)
 
 
 def solve_averaged_spde(
@@ -154,10 +167,10 @@ def solve_averaged_spde(
     w_l: NoiseWeights,
     alpha: float,
     grid,
-    rng: RngStream,
+    noise: np.ndarray,
 ) -> TrajectoryRecord:
     """Mild stepper for the averaged field; ``averaged_drift`` maps state to state."""
-    return _mild_solve(x0, averaged_drift, op_a, w_l, alpha, grid, rng.substream(L_NOISE_TAG))
+    return _mild_solve(x0, averaged_drift, op_a, w_l, alpha, grid, noise)
 
 
 def solve_frozen_fast(
@@ -174,9 +187,9 @@ def solve_frozen_fast(
     if fast_drift.grad_y_bound >= op_b.lambda_1:
         raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
     z = np.asarray(z, dtype=float)
-    return _mild_solve(
-        y0, lambda y: fast_drift(z, y), op_b, w_z, beta, grid, rng.substream(Z_NOISE_TAG)
-    )
+    grid, _ = _check_grid(grid)
+    noise = draw_noise(beta, rng.substream(Z_NOISE_TAG), grid.size - 1, op_b.k_trunc)
+    return _mild_solve(y0, lambda y: fast_drift(z, y), op_b, w_z, beta, grid, noise)
 
 
 def solve_fast_slow(
@@ -192,14 +205,17 @@ def solve_fast_slow(
     beta: float,
     eps: float,
     grid,
+    noise: np.ndarray,
     rng: RngStream,
     c_sub: float = 0.5,
 ) -> TrajectoryRecord:
     """Joint stepper for the fast-slow pair (slow X, fast Y at rate 1/eps).
 
-    ``slow_drift`` and ``fast_drift`` are called as f(x, y).  The slow field
-    advances once per grid step with both arguments frozen at the step's left
-    endpoint; the fast field sub-steps with h_f = dt / ceil(dt / (c_sub eps))
+    ``slow_drift`` and ``fast_drift`` are called as f(x, y).  Row i of
+    ``noise`` drives the slow field's step i; the fast field draws its own
+    noise on ``rng.substream(Z_NOISE_TAG)``, one row per substep.  The slow
+    field advances once per grid step with both arguments frozen at the step's
+    left endpoint; the fast field sub-steps with h_f = dt / ceil(dt / (c_sub eps))
     so the O(1/eps) drift stays resolved (a quotient within 1e-9 relative of a
     whole number counts as that number).  Its plan is the mild step of
     dY = (-B Y + f) / eps dt + eps^(-1/beta) dZ: eigenvalues mu_k / eps and
@@ -221,19 +237,17 @@ def solve_fast_slow(
         beta,
         dt / n_sub,
     )
-    gen_l = rng.substream(L_NOISE_TAG).generator()
-    gen_z = rng.substream(Z_NOISE_TAG).generator()
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
+    _check_noise(noise, grid.size - 1, x.size)
+    noise_z = draw_noise(beta, rng.substream(Z_NOISE_TAG), (grid.size - 1) * n_sub, y.size)
     out_x = np.empty((grid.size, x.size))
     out_y = np.empty((grid.size, y.size))
     out_x[0], out_y[0] = x, y
     for i in range(grid.size - 1):
-        noise_l = sample_standard_stable(alpha, gen_l, size=x.size)
         x_left = x
-        x = step_ou_mode(x, slow_drift(x_left, y), slow_plan, noise_l)
-        for _ in range(n_sub):
-            noise_z = sample_standard_stable(beta, gen_z, size=y.size)
-            y = step_ou_mode(y, fast_drift(x_left, y) / eps, fast_plan, noise_z)
+        x = step_ou_mode(x, slow_drift(x_left, y), slow_plan, noise[i])
+        for row in noise_z[i * n_sub : (i + 1) * n_sub]:
+            y = step_ou_mode(y, fast_drift(x_left, y) / eps, fast_plan, row)
         out_x[i + 1], out_y[i + 1] = x, y
     return TrajectoryRecord(grid, out_x, fast_states=out_y)

@@ -1,11 +1,11 @@
 """Experiment orchestration: assumption checks, coupled eps-sweeps, rate fits.
 
-Coupling convention: for every trajectory index j, the two members of a pair
-(the eps-system and its averaged limit) run on the identical slow-noise
-substream, so their difference isolates the drift discrepancy.  The same
-trajectory streams are reused across the eps grid (common random numbers),
-which makes the error columns strongly positively correlated and the monotone
-decrease visible at desk scale.
+Coupling convention: path j draws its slow noise once, on
+``RngStream(seed, j).substream(L_NOISE_TAG)``, and both members of every pair
+(the eps-system and its averaged limit) step on that one array, so their
+difference isolates the drift discrepancy.  The same noise drives the path at
+every eps of the grid (common random numbers), which makes the error columns
+strongly positively correlated and the monotone decrease visible at desk scale.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from .averaging import (
     make_nu_averaged,
 )
 from .config import ConfigError, ExperimentConfig
-from .engine import solve_averaged_spde, solve_fast_slow, solve_switching_spde
-from .rng import CHAIN_TAG, DECAY_PROBE_STREAM, ESTIMATOR_STREAM, Y0_PAIR_STREAMS, RngStream
+from .engine import draw_noise, solve_averaged_spde, solve_fast_slow, solve_switching_spde
+from .rng import CHAIN_TAG, L_NOISE_TAG, RngStream
+from .rng import DECAY_PROBE_STREAM, ESTIMATOR_STREAM, Y0_PAIR_STREAMS
 from .spectral import admissibility
 from .switching import (
     aggregate_generator,
@@ -219,28 +220,33 @@ def averaged_fast_slow_drift(cfg: ExperimentConfig, rng: RngStream):
     return averaged, m, se
 
 
+def _slow_noise(cfg: ExperimentConfig, stream: RngStream, grid: np.ndarray) -> np.ndarray:
+    """The slow noise of the path on ``stream``: one row per grid step."""
+    return draw_noise(cfg.alpha, stream.substream(L_NOISE_TAG), grid.size - 1, cfg.k_trunc)
+
+
 def _eps_system(cfg: ExperimentConfig, grid: np.ndarray):
-    """solve(eps, rng): one path of the configured eps-system on the path's stream."""
+    """solve(eps, stream, noise): one path of the eps-system on its stream and slow noise."""
     op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
     if cfg.scenario == "fast-slow":
         y0, op_b, w_z = cfg.initial_fast_state(), cfg.op_b(), cfg.weights_z()
         slow, fast = cfg.slow_coupled_drift(), cfg.fast_coupled_drift()
-        return lambda eps, rng: solve_fast_slow(
-            x0, y0, slow, fast, op_a, op_b, w_l, w_z, cfg.alpha, cfg.beta, eps, grid, rng,
-            c_sub=cfg.c_sub,
+        return lambda eps, stream, noise: solve_fast_slow(
+            x0, y0, slow, fast, op_a, op_b, w_l, w_z, cfg.alpha, cfg.beta, eps, grid, noise,
+            stream, c_sub=cfg.c_sub,
         )
     qt, qh = cfg.generator_pair()
     drift = cfg.regime_drift()
 
-    def solve(eps, rng):
-        chain = simulate_chain(qt, qh, eps, cfg.r0 - 1, cfg.T, rng.substream(CHAIN_TAG))
-        return solve_switching_spde(x0, drift, op_a, w_l, cfg.alpha, chain, grid, rng)
+    def solve(eps, stream, noise):
+        chain = simulate_chain(qt, qh, eps, cfg.r0 - 1, cfg.T, stream.substream(CHAIN_TAG))
+        return solve_switching_spde(x0, drift, op_a, w_l, cfg.alpha, chain, grid, noise)
 
     return solve
 
 
 def _averaged_system(cfg: ExperimentConfig, grid: np.ndarray):
-    """solve(rec, rng): the averaged limit coupled to the eps-system record ``rec``."""
+    """solve(rec, noise): the averaged limit coupled to the eps-system record ``rec``."""
     op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
     if cfg.scenario == "switching-multiclass":
         part = cfg.class_partition()
@@ -249,15 +255,15 @@ def _averaged_system(cfg: ExperimentConfig, grid: np.ndarray):
         # the averaged equation rides the aggregated chain of the same path:
         # a concrete coupling of the limit chain, as the class process of the
         # eps-chain converges weakly to it
-        return lambda rec, rng: solve_switching_spde(
-            x0, class_drift, op_a, w_l, cfg.alpha, aggregate_path(rec.chain, part), grid, rng
+        return lambda rec, noise: solve_switching_spde(
+            x0, class_drift, op_a, w_l, cfg.alpha, aggregate_path(rec.chain, part), grid, noise
         )
     if cfg.scenario == "switching-single":
         nu = stationary_distribution(cfg.generator_pair()[0])
         averaged = make_nu_averaged(cfg.regime_drift(), nu)
     else:
         averaged, _, _ = averaged_fast_slow_drift(cfg, RngStream(cfg.seed, ESTIMATOR_STREAM))
-    return lambda rec, rng: solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, rng)
+    return lambda rec, noise: solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, noise)
 
 
 def run_converge(cfg: ExperimentConfig):
@@ -272,22 +278,19 @@ def run_converge(cfg: ExperimentConfig):
     grid = _time_grid(cfg)
     chk = _checkpoint_idx(grid, cfg.checkpoints)
     solve_eps, solve_bar = _eps_system(cfg, grid), _averaged_system(cfg, grid)
-
-    def pair_norms(eps, j: int) -> tuple[float, float]:
-        """Terminal and checkpoint-sup H-norm of one coupled pair's difference."""
-        rng = RngStream(cfg.seed, j)
-        rec_eps = solve_eps(eps, rng)
-        diff = rec_eps.states - solve_bar(rec_eps, rng).states
-        norms = np.linalg.norm(diff[chk], axis=1)
-        return float(norms[-1]), float(norms.max())
-
-    results = np.array([[pair_norms(eps, j) for j in range(cfg.n_paths)] for eps in cfg.eps_grid])
+    # per (eps, path): terminal (0) and checkpoint-sup (1) H-norm of the pair's difference
+    results = np.empty((len(cfg.eps_grid), cfg.n_paths, 2))
+    for j in range(cfg.n_paths):
+        stream = RngStream(cfg.seed, j)
+        noise = _slow_noise(cfg, stream, grid)
+        for e, eps in enumerate(cfg.eps_grid):
+            rec_eps = solve_eps(eps, stream, noise)
+            diff = rec_eps.states - solve_bar(rec_eps, noise).states
+            norms = np.linalg.norm(diff[chk], axis=1)
+            results[e, j] = norms[-1], norms.max()
     eps_arr = np.asarray(cfg.eps_grid, dtype=float)
-    tables = []
-    for column in (0, 1):  # terminal error, checkpoint-sup error
-        moments = np.array([p_moment(r[:, column], cfg.p, cfg.n_batches) for r in results])
-        tables.append(ErrorTable(eps_arr, cfg.p, moments[:, 0], moments[:, 1], cfg.n_paths))
-    table, sup_table = tables
+    moments = [np.array([p_moment(r[:, c], cfg.p, cfg.n_batches) for r in results]) for c in (0, 1)]
+    table, sup_table = (ErrorTable(eps_arr, cfg.p, *m.T, cfg.n_paths) for m in moments)
 
     theo = theoretical_rate_exponent(cfg.alpha, cfg.p, cfg.theta)
     fit, notice = None, ""
@@ -328,6 +331,8 @@ def run_freeze(cfg: ExperimentConfig):
 
     Returns ((report, checks), rows, (t_grid, decay), stats).
     """
+    if cfg.scenario != "fast-slow":
+        raise ConfigError(f"freeze needs scenario fast-slow, got {cfg.scenario!r}")
     report, checks = run_check(cfg)
     require_pass(checks)
     op_b, w_z = cfg.op_b(), cfg.weights_z()
@@ -379,6 +384,8 @@ def run_aggregate(cfg: ExperimentConfig):
     empirical-rate estimate without changing eps.  Returns
     ((report, checks), Qbar, rows, per_class).
     """
+    if cfg.scenario != "switching-multiclass":
+        raise ConfigError(f"aggregate needs scenario switching-multiclass, got {cfg.scenario!r}")
     report, checks = run_check(cfg)
     require_pass(checks)
     qt, qh = cfg.generator_pair()
@@ -423,8 +430,9 @@ def run_simulate(cfg: ExperimentConfig):
     """
     report, checks = run_check(cfg)
     require_pass(checks)
-    solve_eps = _eps_system(cfg, _time_grid(cfg))
-    return (report, checks), solve_eps(cfg.eps_grid[0], RngStream(cfg.seed, 0))
+    grid, stream = _time_grid(cfg), RngStream(cfg.seed, 0)
+    solve_eps = _eps_system(cfg, grid)
+    return (report, checks), solve_eps(cfg.eps_grid[0], stream, _slow_noise(cfg, stream, grid))
 
 
 def synthesize_point(coeffs: np.ndarray, x: float) -> float:

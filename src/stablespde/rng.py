@@ -1,11 +1,12 @@
 """Reproducible random number streams.
 
-Every stochastic routine in this package takes an :class:`RngStream` value
-rather than a live generator, so that a simulation is a pure function of
-(parameters, stream).  Streams are counter-based (Philox) and keyed by
-``(seed, stream_id, lineage)``; identical keys reproduce identical variate
-sequences, and distinct keys give statistically independent streams that can
-be consumed from concurrent workers without coordination.
+Every stochastic routine in this package takes an :class:`RngStream` value,
+or noise already drawn from one, rather than a live generator, so that a
+simulation is a pure function of (parameters, stream).  Streams are
+counter-based (Philox) and keyed by ``(seed, stream_id, lineage)``; identical
+keys reproduce identical variate sequences, and distinct keys give
+statistically independent streams that can be consumed from concurrent
+workers without coordination.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ class RngStream:
         return RngStream(self.seed, self.stream_id, self.lineage + (tag,))
 
 
-# Stream keys, each named once.  Path j of a sweep runs on RngStream(seed, j);
-# inside a path each noise source owns one substream tag, so coupled runs on
-# the same path stream see the identical driving noise.
+# Stream keys, each named once.  Path j of a sweep runs on RngStream(seed, j), and
+# each noise source owns one substream tag.  The harness draws L once per path and
+# hands that array to every solve of the path, so coupled runs share their noise.
 L_NOISE_TAG = 0  # slow-field noise L, k_trunc variates per grid step
 CHAIN_TAG = 1  # the switching chain, simulated by the harness
 Z_NOISE_TAG = 2  # fast-field noise Z: frozen-fast and fast-slow solves

@@ -105,7 +105,6 @@ class AdmissibilityReport:
     theta: float
     alpha_theta_ok: bool
     passed: bool
-    reasons: tuple[str, ...] = ()
 
 
 def _power_law_tail(coef: float, s: float, k_trunc: int) -> float | None:
@@ -140,19 +139,17 @@ def admissibility(
 ) -> AdmissibilityReport:
     """Evaluate the summability conditions for the slow (and optionally fast) pair.
 
-    Failure is reported through ``passed``/``reasons``, not raised: callers use
-    the report to refuse a run, and a failing configuration is legitimate input.
+    Failure is reported through ``passed``, not raised: callers use the report
+    to refuse a run, and a failing configuration is legitimate input.
     """
     if op_a.k_trunc != w_l.k_trunc:
         raise ValueError("operator and weights must share the truncation level")
-    reasons: list[str] = []
     at_ok = 0 < alpha * theta < 1
-    if not at_ok:
-        reasons.append(f"alpha*theta = {alpha * theta:g} outside (0, 1)")
-
     delta_partial, delta_tail = _weighted_sum(w_l, op_a, alpha, 1 - alpha * theta, w_l.k_trunc)
+    passed = at_ok
+    # a tail bound of None under power-law rules means the integral test diverges
     if w_l.decay_rule is not None and op_a.growth_rule is not None and delta_tail is None:
-        reasons.append("delta tail sum divergent (integral test)")
+        passed = False
 
     kappa2_partial = kappa2_tail = None
     if op_b is not None:
@@ -162,7 +159,7 @@ def admissibility(
             raise ValueError("fast operator and weights must share the truncation level")
         kappa2_partial, kappa2_tail = _weighted_sum(w_z, op_b, beta, 1.0, w_z.k_trunc)
         if w_z.decay_rule is not None and op_b.growth_rule is not None and kappa2_tail is None:
-            reasons.append("kappa2 tail sum divergent (integral test)")
+            passed = False
 
     return AdmissibilityReport(
         delta_partial=delta_partial,
@@ -171,6 +168,5 @@ def admissibility(
         kappa2_tail_bound=kappa2_tail,
         theta=theta,
         alpha_theta_ok=at_ok,
-        passed=not reasons,
-        reasons=tuple(reasons),
+        passed=passed,
     )

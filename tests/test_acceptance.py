@@ -35,7 +35,7 @@ from stablespde import (
     solve_switching_spde,
     stationary_distribution,
 )
-from stablespde.engine import TrajectoryRecord
+from stablespde.engine import TrajectoryRecord, draw_noise
 from stablespde.config import load_config, parse_config
 from stablespde.harness import (
     monotone_with_inversions,
@@ -43,6 +43,7 @@ from stablespde.harness import (
     run_converge,
     run_freeze,
 )
+from stablespde.rng import L_NOISE_TAG
 from stablespde.switching import ChainPath
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -223,12 +224,12 @@ def test_criterion_10_coupling_and_determinism(tmp_path):
     grid = np.linspace(0.0, 1.0, 51)
     worst = 0.0
     for j in range(50):
-        rng = RngStream(110, j)
+        noise = draw_noise(1.5, RngStream(110, j).substream(L_NOISE_TAG), 50, 10)
         chain = ChainPath(np.array([0.0]), np.array([0]), 1.0)
         a = solve_switching_spde(
-            np.ones(10), lambda x, i: 0.5 * x, op, w, 1.5, chain, grid, rng
+            np.ones(10), lambda x, i: 0.5 * x, op, w, 1.5, chain, grid, noise
         )
-        b = solve_averaged_spde(np.ones(10), lambda x: 0.5 * x, op, w, 1.5, grid, rng)
+        b = solve_averaged_spde(np.ones(10), lambda x: 0.5 * x, op, w, 1.5, grid, noise)
         worst = max(worst, float(np.max(np.abs(a.states - b.states))))
 
     # byte-identical repeated CLI runs under a fixed seed

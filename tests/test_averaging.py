@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from stablespde import (
-    ClassPartition,
+from stablespde.averaging import (
     ErgodicEstimatorConfig,
-    LinearRegimeDrift,
-    NoiseWeights,
-    RngStream,
-    SaturatingCoupledDrift,
-    SpectralOperator,
-    ZeroCoupledDrift,
     class_average_drift,
     ergodic_decay_probe,
     estimate_ergodic_drift,
@@ -18,6 +11,11 @@ from stablespde import (
     make_nu_averaged,
     nu_average_drift,
 )
+from stablespde.drifts import LinearRegimeDrift, SaturatingCoupledDrift, ZeroCoupledDrift
+from stablespde.rng import RngStream
+from stablespde.spectral import SpectralOperator
+from stablespde.stable_noise import NoiseWeights
+from stablespde.switching import ClassPartition
 
 OP1 = SpectralOperator(np.array([1.0]))
 W1 = NoiseWeights(np.array([1.0]))

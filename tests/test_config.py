@@ -3,8 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablespde import ConfigError, ExperimentConfig, load_config, parse_config
-from stablespde.config import config_echo
+from stablespde.config import (
+    ConfigError,
+    ExperimentConfig,
+    config_echo,
+    load_config,
+    parse_config,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

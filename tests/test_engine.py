@@ -1,32 +1,35 @@
 import numpy as np
 import pytest
 
-from stablespde import (
-    ChainPath,
-    GeneratorMatrix,
-    LinearRegimeDrift,
-    NoiseWeights,
-    PowerLawRule,
-    RngStream,
-    SaturatingCoupledDrift,
-    SpectralOperator,
-    ZeroCoupledDrift,
-    convolution_scale,
+from stablespde.drifts import LinearRegimeDrift, SaturatingCoupledDrift, ZeroCoupledDrift
+from stablespde.engine import (
+    draw_noise,
     drift_factor,
-    ecf,
     make_step_plan,
-    rod_operator,
-    sample_standard_stable,
-    simulate_chain,
     solve_averaged_spde,
     solve_fast_slow,
     solve_frozen_fast,
     solve_switching_spde,
     step_ou_mode,
 )
+from stablespde.rng import L_NOISE_TAG, RngStream
+from stablespde.spectral import SpectralOperator, rod_operator
+from stablespde.stable_noise import (
+    NoiseWeights,
+    PowerLawRule,
+    convolution_scale,
+    ecf,
+    sample_standard_stable,
+)
+from stablespde.switching import ChainPath, GeneratorMatrix, simulate_chain
 
 OP3 = rod_operator(3)
 W3 = NoiseWeights.from_rule(PowerLawRule(1.0, -2.0), 3)
+
+
+def slow_noise(rng, grid, k=3, alpha=1.5):
+    """The slow noise of the path on ``rng``: one row per grid step."""
+    return draw_noise(alpha, rng.substream(L_NOISE_TAG), len(grid) - 1, k)
 
 
 def constant_chain(state: int, horizon: float) -> ChainPath:
@@ -75,7 +78,8 @@ def test_drift_free_terminal_law_multi_step():
     terminal = np.array(
         [
             solve_averaged_spde(
-                np.zeros(3), lambda x: 0.0 * x, OP3, W3, alpha, grid, RngStream(4, j)
+                np.zeros(3), lambda x: 0.0 * x, OP3, W3, alpha, grid,
+                slow_noise(RngStream(4, j), grid, alpha=alpha),
             ).states[-1]
             for j in range(20_000)
         ]
@@ -91,9 +95,9 @@ def test_constant_chain_equals_point_mass_average():
     drift = LinearRegimeDrift(np.array([0.4, 0.8]))
     grid = np.linspace(0.0, 1.0, 21)
     x0 = np.array([1.0, 0.5, 0.25])
-    rng = RngStream(5, 3)
-    rec_sw = solve_switching_spde(x0, drift, OP3, W3, 1.5, constant_chain(1, 1.0), grid, rng)
-    rec_av = solve_averaged_spde(x0, lambda x: drift(x, 1), OP3, W3, 1.5, grid, rng)
+    noise = slow_noise(RngStream(5, 3), grid)
+    rec_sw = solve_switching_spde(x0, drift, OP3, W3, 1.5, constant_chain(1, 1.0), grid, noise)
+    rec_av = solve_averaged_spde(x0, lambda x: drift(x, 1), OP3, W3, 1.5, grid, noise)
     assert np.array_equal(rec_sw.states, rec_av.states)
 
 
@@ -107,7 +111,9 @@ def test_switching_moment_bounded():
     for j in range(400):
         rng = RngStream(6, j)
         chain = simulate_chain(qt, GeneratorMatrix.zero(2), 0.05, 0, 2.0, rng.substream(1))
-        rec = solve_switching_spde(np.ones(3), drift, OP3, W3, 1.5, chain, grid, rng)
+        rec = solve_switching_spde(
+            np.ones(3), drift, OP3, W3, 1.5, chain, grid, slow_noise(rng, grid)
+        )
         norms.append(np.linalg.norm(rec.states, axis=1).max())
     moment = np.mean(np.asarray(norms) ** p)
     assert np.isfinite(moment)
@@ -116,10 +122,11 @@ def test_switching_moment_bounded():
 
 def test_grid_must_stay_inside_chain_horizon():
     drift = LinearRegimeDrift(np.array([0.0]))
+    grid = np.linspace(0, 1, 5)
     with pytest.raises(ValueError):
         solve_switching_spde(
-            np.zeros(3), drift, OP3, W3, 1.5, constant_chain(0, 0.5), np.linspace(0, 1, 5),
-            RngStream(0),
+            np.zeros(3), drift, OP3, W3, 1.5, constant_chain(0, 0.5), grid,
+            slow_noise(RngStream(0), grid),
         )
 
 
@@ -127,9 +134,9 @@ def test_equal_drift_coupling_cancels_exactly():
     drift = LinearRegimeDrift(np.array([0.5]))
     grid = np.linspace(0.0, 1.0, 11)
     x0 = np.ones(3)
-    rng = RngStream(7, 1)
-    a = solve_switching_spde(x0, drift, OP3, W3, 1.5, constant_chain(0, 1.0), grid, rng)
-    b = solve_averaged_spde(x0, lambda x: 0.5 * x, OP3, W3, 1.5, grid, rng)
+    noise = slow_noise(RngStream(7, 1), grid)
+    a = solve_switching_spde(x0, drift, OP3, W3, 1.5, constant_chain(0, 1.0), grid, noise)
+    b = solve_averaged_spde(x0, lambda x: 0.5 * x, OP3, W3, 1.5, grid, noise)
     assert np.max(np.abs(a.states - b.states)) <= 1e-12
 
 
@@ -140,15 +147,15 @@ def test_constant_drift_difference_is_noise_free():
     x0 = np.zeros(3)
     d1 = lambda x: np.array([1.0, 0.0, -2.0])
     d2 = lambda x: np.array([-1.0, 0.5, 0.0])
-    rng = RngStream(8, 2)
+    noise = slow_noise(RngStream(8, 2), grid)
     diff_noisy = (
-        solve_averaged_spde(x0, d1, OP3, W3, 1.5, grid, rng).states
-        - solve_averaged_spde(x0, d2, OP3, W3, 1.5, grid, rng).states
+        solve_averaged_spde(x0, d1, OP3, W3, 1.5, grid, noise).states
+        - solve_averaged_spde(x0, d2, OP3, W3, 1.5, grid, noise).states
     )
     quiet = NoiseWeights(np.full(3, 1e-300))  # noise-zeroed comparison run
     diff_quiet = (
-        solve_averaged_spde(x0, d1, OP3, quiet, 1.5, grid, rng).states
-        - solve_averaged_spde(x0, d2, OP3, quiet, 1.5, grid, rng).states
+        solve_averaged_spde(x0, d1, OP3, quiet, 1.5, grid, noise).states
+        - solve_averaged_spde(x0, d2, OP3, quiet, 1.5, grid, noise).states
     )
     assert np.max(np.abs(diff_noisy - diff_quiet)) <= 1e-12
 
@@ -172,10 +179,11 @@ def test_fast_slow_requires_contractive_fast_drift():
     op = rod_operator(2)
     w = NoiseWeights.from_rule(PowerLawRule(1.0, -2.0), 2)
     bad = SaturatingCoupledDrift(0.0, 2.0)  # K3 = 2 >= mu_1 = 1
+    grid = np.linspace(0, 1, 11)
     with pytest.raises(ValueError):
         solve_fast_slow(
             np.zeros(2), np.zeros(2), ZeroCoupledDrift(), bad, op, op, w, w,
-            1.5, 1.5, 0.1, np.linspace(0, 1, 11), RngStream(0),
+            1.5, 1.5, 0.1, grid, slow_noise(RngStream(0), grid, k=2), RngStream(0),
         )
 
 
@@ -191,7 +199,8 @@ def test_fast_slow_stationary_mode_scale():
         [
             solve_fast_slow(
                 np.zeros(2), np.zeros(2), ZeroCoupledDrift(), ZeroCoupledDrift(),
-                op, op, w, w, 1.5, beta, eps, grid, RngStream(10, j),
+                op, op, w, w, 1.5, beta, eps, grid,
+                slow_noise(RngStream(10, j), grid, k=2), RngStream(10, j),
             ).fast_states[-1]
             for j in range(20_000)
         ]
@@ -218,7 +227,7 @@ def _reference_fast_slow_gap(dt, n, eps, c_sub, n_sub):
     rng = RngStream(11, 5)
     rec = solve_fast_slow(
         np.ones(k), 0.5 * np.ones(k), slow, fast, op_a, op_b, w_l, w_z,
-        alpha, beta, eps, grid, rng, c_sub=c_sub,
+        alpha, beta, eps, grid, slow_noise(rng, grid, k, alpha), rng, c_sub=c_sub,
     )
 
     gen_l = rng.substream(0).generator()
@@ -272,7 +281,9 @@ def test_fast_slow_substep_count_ignores_quotient_rounding():
 def test_non_uniform_grid_rejected():
     grid = np.array([0.0, 0.1, 0.3, 0.4])
     with pytest.raises(ValueError, match="uniform"):
-        solve_averaged_spde(np.zeros(3), lambda x: 0 * x, OP3, W3, 1.5, grid, RngStream(0))
+        solve_averaged_spde(
+            np.zeros(3), lambda x: 0 * x, OP3, W3, 1.5, grid, slow_noise(RngStream(0), grid)
+        )
 
 
 def test_frozen_fast_is_ou_field_without_drift():
@@ -307,6 +318,33 @@ def test_frozen_fast_pathwise_contraction():
 
 def test_record_shapes():
     grid = np.linspace(0.0, 1.0, 6)
-    rec = solve_averaged_spde(np.zeros(3), lambda x: 0 * x, OP3, W3, 1.5, grid, RngStream(14))
+    rec = solve_averaged_spde(
+        np.zeros(3), lambda x: 0 * x, OP3, W3, 1.5, grid, slow_noise(RngStream(14), grid)
+    )
     assert rec.states.shape == (6, 3)
     assert np.array_equal(rec.times, grid)
+
+
+def test_draw_noise_rows_are_the_per_step_draws():
+    # row i is the i-th size-k draw on one generator of the stream, the order a
+    # solve used to draw its noise in, step by step
+    stream = RngStream(15, 2).substream(L_NOISE_TAG)
+    noise = draw_noise(1.5, stream, 7, 4)
+    gen = stream.generator()
+    assert noise.shape == (7, 4)
+    for row in noise:
+        assert np.array_equal(row, sample_standard_stable(1.5, gen, size=4))
+
+
+def test_noise_of_the_wrong_shape_rejected():
+    grid = np.linspace(0.0, 1.0, 6)
+    drift = lambda x: 0 * x
+    with pytest.raises(ValueError, match="noise must have shape"):
+        solve_averaged_spde(np.zeros(3), drift, OP3, W3, 1.5, grid, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="noise must have shape"):
+        solve_averaged_spde(np.zeros(3), drift, OP3, W3, 1.5, grid, np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="noise must have shape"):
+        solve_fast_slow(
+            np.zeros(3), np.zeros(3), ZeroCoupledDrift(), ZeroCoupledDrift(), OP3, OP3, W3, W3,
+            1.5, 1.5, 0.1, grid, np.zeros((6, 3)), RngStream(0),
+        )

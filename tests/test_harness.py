@@ -496,6 +496,19 @@ MALFORMED = [
                  "freeze", id="est_burn_in_past_horizon"),
     pytest.param("fast_slow.cfg", "est_horizon = 0.0\nest_burn_in = -1.0", [], "est_horizon",
                  "freeze", id="est_horizon_zero"),
+    # valid sizes beyond config.MAX_RUN_SIZE: each failed or never ended after passing check
+    pytest.param("switching_single.cfg", "dt = 1e-300", [], "dt", "converge", id="dt_tiny"),
+    pytest.param("switching_single.cfg", "T = 1e12", [], "T", "converge", id="T_huge"),
+    pytest.param("fast_slow.cfg", "c_sub = 1e-300", [], "c_sub", "converge", id="c_sub_tiny"),
+    pytest.param("fast_slow.cfg", "est_dt = 1e-300", [], "est_dt", "freeze", id="est_dt_tiny"),
+    pytest.param("fast_slow.cfg", "est_horizon = 1e300", [], "est_horizon", "freeze",
+                 id="est_horizon_huge"),
+    pytest.param("aggregate.cfg", "eps_grid = [1e-300]", [], "eps_grid", "aggregate",
+                 id="eps_grid_tiny"),
+    pytest.param("switching_single.cfg", "k_trunc = 1000000000", [], "k_trunc", None,
+                 id="k_trunc_huge"),
+    pytest.param("switching_single.cfg", "", ["--paths", "1000000000000"], "n_paths", "converge",
+                 id="paths_flag_huge"),
 ]
 
 
@@ -509,6 +522,23 @@ def test_cli_malformed_input_is_input_error(tmp_path, capsys, preset, lines, fla
         assert cli.main(args) == 2
         assert not out.exists()
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, preset",
+    [
+        ("freeze", "switching_single.cfg"),
+        ("aggregate", "switching_single.cfg"),
+        ("aggregate", "fast_slow.cfg"),
+    ],
+    ids=["freeze_single", "aggregate_single", "aggregate_fast_slow"],
+)
+def test_cli_command_on_another_scenario_is_input_error(tmp_path, capsys, command, preset):
+    out = tmp_path / "o"
+    args = [command, "--config", str(CONFIG_DIR / preset), "--out", str(out), "--quiet"]
+    assert cli.main(args) == 2
+    assert not out.exists()
+    assert "scenario" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

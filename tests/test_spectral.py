@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from stablespde import (
-    NoiseWeights,
-    PowerLawRule,
+from stablespde.engine import make_step_plan
+from stablespde.spectral import (
     SpectralOperator,
     admissibility,
     h_norm,
     hoelder_bound_check,
-    make_step_plan,
     rod_operator,
     smoothing_bound_check,
 )
+from stablespde.stable_noise import NoiseWeights, PowerLawRule
 
 
 def semigroup_apply(op, t, x):

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from stablespde import (
+from stablespde.rng import RngStream
+from stablespde.stable_noise import (
     NoiseWeights,
     PowerLawRule,
-    RngStream,
     convolution_scale,
     ecf,
     sample_standard_stable,

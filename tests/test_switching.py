@@ -3,19 +3,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablespde import (
+from stablespde.config import load_config
+from stablespde.rng import CHAIN_TAG, RngStream
+from stablespde.switching import (
     ChainPath,
     ClassPartition,
     GeneratorMatrix,
-    RngStream,
     aggregate_generator,
     aggregate_path,
     occupation_fractions,
     simulate_chain,
     stationary_distribution,
 )
-from stablespde.config import load_config
-from stablespde.rng import CHAIN_TAG
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
