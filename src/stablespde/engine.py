@@ -87,24 +87,7 @@ def _check_grid(grid) -> tuple[np.ndarray, float]:
 
 def draw_noise(alpha: float, stream: RngStream, n_steps: int, k: int) -> np.ndarray:
     """(n_steps, k) standard stable variates; row i is the i-th size-k draw on ``stream``."""
-    gen = stream.generator()
-    noise = np.empty((n_steps, k))
-    for i in range(n_steps):
-        noise[i] = sample_standard_stable(alpha, gen, size=k)
-    return noise
-
-
-def _drift_substep(x, plan: MildStepPlan, lam, t0: float, t1: float, chain: ChainPath, drift):
-    """Advance decay+drift over [t0, t1], splitting at exact chain jump times."""
-    jumps = chain.breakpoints_in(t0, t1)
-    if jumps.size == 0:
-        return plan.decay * x + drift(x, chain.state_at(t0)) * plan.drift_factor
-    pts = np.concatenate(([t0], jumps, [t1]))
-    for a, b in zip(pts[:-1], pts[1:]):
-        tau = b - a
-        bx = drift(x, chain.state_at(a))
-        x = np.exp(-lam * tau) * x + bx * drift_factor(lam, tau)
-    return x
+    return sample_standard_stable(alpha, stream, size=(n_steps, k))
 
 
 def _mild_solve(
@@ -121,7 +104,9 @@ def _mild_solve(
 
     Row i of ``noise`` drives grid step i.  Without a chain ``drift`` maps
     state to state; with one it is called as drift(x, regime) and sub-steps at
-    the chain's jump times.
+    the chain's jump times.  One table per solve gives each step its jumps:
+    step i spans the chain's intervals lo[i]-1 .. hi[i]-1, where lo[i] is the
+    first jump after grid[i] and hi[i] the first at or after grid[i+1].
     """
     grid, dt = _check_grid(grid)
     if chain is not None and grid[-1] > chain.horizon:
@@ -133,12 +118,26 @@ def _mild_solve(
     out = np.empty((grid.size, x.size))
     out[0] = x
     plan = make_step_plan(op, weights, alpha, dt)
+    kicks = plan.conv_scale * noise  # every step's stochastic convolution
+    if chain is None:
+        for i in range(grid.size - 1):
+            x = plan.decay * x + drift(x) * plan.drift_factor + kicks[i]
+            out[i + 1] = x
+        return TrajectoryRecord(grid, out)
+    lam, times, regimes = op.eigenvalues, chain.times, chain.states
+    lo = np.searchsorted(times, grid[:-1], side="right").tolist()
+    hi = np.searchsorted(times, grid[1:], side="left").tolist()
+    t = grid.tolist()
     for i in range(grid.size - 1):
-        if chain is None:
-            x = step_ou_mode(x, drift(x), plan, noise[i])
+        if lo[i] == hi[i]:
+            x = plan.decay * x + drift(x, int(regimes[lo[i] - 1])) * plan.drift_factor
         else:
-            x = _drift_substep(x, plan, op.eigenvalues, grid[i], grid[i + 1], chain, drift)
-            x = x + plan.conv_scale * noise[i]
+            # split the step at its jumps; each piece keeps the regime at its start
+            pts = (t[i], *times[lo[i] : hi[i]].tolist(), t[i + 1])
+            for a, b, regime in zip(pts[:-1], pts[1:], regimes[lo[i] - 1 : hi[i]].tolist()):
+                tau = b - a
+                x = np.exp(-lam * tau) * x + drift(x, regime) * drift_factor(lam, tau)
+        x = x + kicks[i]
         out[i + 1] = x
     return TrajectoryRecord(grid, out, chain=chain)
 

@@ -7,6 +7,7 @@ is Normal(0, 2), matching the characteristic function exp(-u^2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,21 +56,17 @@ class NoiseWeights:
         return self.weights.size
 
 
+# values per transform chunk of a row-wise draw: bounds the transform's temporaries
+_TRANSFORM_CHUNK = 1 << 14
+
+
 def _check_alpha(alpha: float) -> None:
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"stability index must lie in (1, 2], got {alpha}")
 
 
-def sample_standard_stable(alpha, rng, size=None):
-    """Draw from the standard symmetric stable law, CF exp(-|u|^alpha).
-
-    ``rng`` may be an :class:`RngStream` or a live ``numpy.random.Generator``
-    (the latter allows sequential draws inside steppers).
-    """
-    _check_alpha(alpha)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    u = gen.uniform(-np.pi / 2, np.pi / 2, size=size)
-    w = gen.standard_exponential(size=size)
+def _cms(alpha, u, w):
+    """Chambers-Mallows-Stuck: uniforms on (-pi/2, pi/2) and exponentials to variates."""
     if alpha == 2.0:
         # CMS formula at alpha=2 degenerates to 2 sin(U) sqrt(W): Normal(0, 2).
         return 2.0 * np.sin(u) * np.sqrt(w)
@@ -79,6 +76,33 @@ def sample_standard_stable(alpha, rng, size=None):
         / np.cos(u) ** (1.0 / a)
         * (np.cos((1.0 - a) * u) / w) ** ((1.0 - a) / a)
     )
+
+
+def sample_standard_stable(alpha, rng, size=None):
+    """Draw from the standard symmetric stable law, CF exp(-|u|^alpha).
+
+    ``rng`` may be an :class:`RngStream` or a live ``numpy.random.Generator``
+    (the latter allows sequential draws inside steppers).  A draw of two or
+    more axes is made row by row along the last one: each row takes its k
+    uniforms, then its k exponentials, so an ``(n, k)`` draw equals n
+    successive size-k draws bit for bit.  The transform then runs over the
+    whole block, in chunks of rows written back into the uniforms.
+    """
+    _check_alpha(alpha)
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    if np.ndim(size) == 0 or len(size) < 2:
+        u = gen.uniform(-np.pi / 2, np.pi / 2, size=size)
+        return _cms(alpha, u, gen.standard_exponential(size=size))
+    out, w = np.empty(size), np.empty(size)
+    k = out.shape[-1]
+    u_rows, w_rows = (a.reshape(math.prod(out.shape[:-1]), k) for a in (out, w))
+    for u_row, w_row in zip(u_rows, w_rows):
+        u_row[:] = gen.uniform(-np.pi / 2, np.pi / 2, size=k)
+        gen.standard_exponential(out=w_row)
+    step = max(1, _TRANSFORM_CHUNK // max(k, 1))
+    for i in range(0, len(u_rows), step):
+        u_rows[i : i + step] = _cms(alpha, u_rows[i : i + step], w_rows[i : i + step])
+    return out
 
 
 def ecf(samples: np.ndarray, u) -> np.ndarray:

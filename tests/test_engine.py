@@ -1,7 +1,18 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stablespde.drifts import LinearRegimeDrift, SaturatingCoupledDrift, ZeroCoupledDrift
+from stablespde.averaging import make_class_averaged
+from stablespde.config import load_config
+
+from stablespde.drifts import (
+    LinearRegimeDrift,
+    SaturatingCoupledDrift,
+    SaturatingRegimeDrift,
+    ZeroCoupledDrift,
+)
 from stablespde.engine import (
     draw_noise,
     drift_factor,
@@ -12,7 +23,7 @@ from stablespde.engine import (
     solve_switching_spde,
     step_ou_mode,
 )
-from stablespde.rng import L_NOISE_TAG, RngStream
+from stablespde.rng import CHAIN_TAG, L_NOISE_TAG, RngStream
 from stablespde.spectral import SpectralOperator, rod_operator
 from stablespde.stable_noise import (
     NoiseWeights,
@@ -21,8 +32,15 @@ from stablespde.stable_noise import (
     ecf,
     sample_standard_stable,
 )
-from stablespde.switching import ChainPath, GeneratorMatrix, simulate_chain
+from stablespde.switching import (
+    ChainPath,
+    GeneratorMatrix,
+    aggregate_path,
+    simulate_chain,
+    stationary_distribution,
+)
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 OP3 = rod_operator(3)
 W3 = NoiseWeights.from_rule(PowerLawRule(1.0, -2.0), 3)
 
@@ -334,6 +352,84 @@ def test_draw_noise_rows_are_the_per_step_draws():
     assert noise.shape == (7, 4)
     for row in noise:
         assert np.array_equal(row, sample_standard_stable(1.5, gen, size=4))
+
+
+def test_draw_noise_memory_is_bounded():
+    stream = RngStream(16).substream(L_NOISE_TAG)
+    tracemalloc.start()
+    try:
+        noise = draw_noise(1.5, stream, 20000, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * noise.nbytes
+
+
+def _reference_switching_states(x0, drift, op, weights, alpha, chain, grid, noise):
+    """The switching solve as it was stepped before its breakpoint table:
+    per step, the chain's jumps inside it and the regime at each piece's start
+    come from ``breakpoints_in`` and ``state_at``."""
+    dt = (grid[-1] - grid[0]) / (grid.size - 1)
+    plan = make_step_plan(op, weights, alpha, dt)
+    lam = op.eigenvalues
+    x = np.asarray(x0, dtype=float).copy()
+    out = [x]
+    for i in range(grid.size - 1):
+        t0, t1 = grid[i], grid[i + 1]
+        jumps = chain.breakpoints_in(t0, t1)
+        if jumps.size == 0:
+            x = plan.decay * x + drift(x, chain.state_at(t0)) * plan.drift_factor
+        else:
+            pts = np.concatenate(([t0], jumps, [t1]))
+            for a, b in zip(pts[:-1], pts[1:]):
+                tau = b - a
+                x = np.exp(-lam * tau) * x + drift(x, chain.state_at(a)) * drift_factor(lam, tau)
+        x = x + plan.conv_scale * noise[i]
+        out.append(x)
+    return np.array(out)
+
+
+GRID11 = np.linspace(0.0, 1.0, 11)
+HAND_CHAINS = {
+    "jump_on_grid_point": ([0.0, GRID11[3], 0.61], [0, 2, 1]),
+    "jumps_inside_one_step": ([0.0, 0.42, 0.45, 0.47, 0.48], [1, 0, 2, 0, 1]),
+    "jump_in_last_step": ([0.0, 0.95], [2, 0]),
+    "no_jump": ([0.0], [1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_CHAINS))
+def test_switching_solve_matches_per_step_lookups(name):
+    times, states = HAND_CHAINS[name]
+    chain = ChainPath(np.array(times), np.array(states), 1.0)
+    drift = SaturatingRegimeDrift(np.array([0.3, -0.8, 0.5]), np.array([0.2, -0.4, 0.1]))
+    x0 = np.array([1.0, -0.5, 0.25])
+    noise = slow_noise(RngStream(17), GRID11)
+    rec = solve_switching_spde(x0, drift, OP3, W3, 1.5, chain, GRID11, noise)
+    ref = _reference_switching_states(x0, drift, OP3, W3, 1.5, chain, GRID11, noise)
+    assert rec.states.tobytes() == ref.tobytes()
+
+
+def test_class_chain_solve_matches_per_step_lookups():
+    # the averaged member of a multiclass pair rides the aggregated class chain
+    cfg = load_config(CONFIG_DIR / "switching_multiclass.cfg")
+    qt, qh = cfg.generator_pair()
+    part = cfg.class_partition()
+    mu_blocks = [stationary_distribution(b) for b in cfg.qtilde_blocks()]
+    class_drift = make_class_averaged(cfg.regime_drift(), part, mu_blocks)
+    grid = np.linspace(0.0, cfg.T, round(cfg.T / cfg.dt) + 1)
+    args = (cfg.initial_state(), class_drift, cfg.op_a(), cfg.weights_l(), cfg.alpha)
+    class_jumps = 0
+    for j in range(10):
+        stream = RngStream(cfg.seed, j)
+        chain = simulate_chain(qt, qh, 0.01, cfg.r0 - 1, cfg.T, stream.substream(CHAIN_TAG))
+        classes = aggregate_path(chain, part)
+        class_jumps += classes.times.size - 1
+        noise = slow_noise(stream, grid, k=cfg.k_trunc, alpha=cfg.alpha)
+        rec = solve_switching_spde(*args, classes, grid, noise)
+        ref = _reference_switching_states(*args, classes, grid, noise)
+        assert rec.states.tobytes() == ref.tobytes()
+    assert class_jumps > 0
 
 
 def test_noise_of_the_wrong_shape_rejected():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,29 @@ def test_stream_determinism(seed, stream_id):
     a = sample_standard_stable(1.5, s, size=64)
     b = sample_standard_stable(1.5, s, size=64)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+@pytest.mark.parametrize("n, k", [(1, 1), (7, 4), (1200, 20)])
+def test_row_wise_draw_is_successive_draws(alpha, n, k):
+    block = sample_standard_stable(alpha, RngStream(8, 1).generator(), size=(n, k))
+    gen = RngStream(8, 1).generator()
+    rows = np.array([sample_standard_stable(alpha, gen, size=k) for _ in range(n)])
+    assert block.shape == (n, k)
+    assert block.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize(
+    "alpha, digest",
+    [
+        (1.5, "fbdcb3146f75c200150419f88265e60e0b3ac8096de6ea7db67aac0e3100e795"),
+        (2.0, "42c951fcf03eb45bac64613de97df67e03325365bbf596428b76448eef8fbe29"),
+    ],
+)
+def test_one_dimensional_draw_keeps_its_bytes(alpha, digest):
+    # recorded before row-wise draws existed; a 1-d draw takes all its uniforms first
+    samples = sample_standard_stable(alpha, RngStream(2024, 3), size=64)
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
 
 def test_substreams_differ():
