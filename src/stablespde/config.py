@@ -12,7 +12,7 @@ import ast
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -312,8 +312,3 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def config_echo(cfg: ExperimentConfig) -> dict:
-    """JSON-serializable echo of the configuration."""
-    return asdict(cfg)

@@ -54,11 +54,6 @@ def make_step_plan(
     )
 
 
-def step_ou_mode(x, drift, plan: MildStepPlan, noise):
-    """One exponential-Euler step; ``noise`` is a standard stable variate."""
-    return plan.decay * x + drift * plan.drift_factor + plan.conv_scale * noise
-
-
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """States recorded on the time grid; optionally the co-evolving chain or fast field."""
@@ -240,13 +235,15 @@ def solve_fast_slow(
     y = np.asarray(y0, dtype=float).copy()
     _check_noise(noise, grid.size - 1, x.size)
     noise_z = draw_noise(beta, rng.substream(Z_NOISE_TAG), (grid.size - 1) * n_sub, y.size)
+    kicks_x = slow_plan.conv_scale * noise
+    kicks_y = (fast_plan.conv_scale * noise_z).reshape(grid.size - 1, n_sub, y.size)
     out_x = np.empty((grid.size, x.size))
     out_y = np.empty((grid.size, y.size))
     out_x[0], out_y[0] = x, y
     for i in range(grid.size - 1):
         x_left = x
-        x = step_ou_mode(x, slow_drift(x_left, y), slow_plan, noise[i])
-        for row in noise_z[i * n_sub : (i + 1) * n_sub]:
-            y = step_ou_mode(y, fast_drift(x_left, y) / eps, fast_plan, row)
+        x = slow_plan.decay * x + slow_drift(x_left, y) * slow_plan.drift_factor + kicks_x[i]
+        for kick in kicks_y[i]:
+            y = fast_plan.decay * y + fast_drift(x_left, y) / eps * fast_plan.drift_factor + kick
         out_x[i + 1], out_y[i + 1] = x, y
     return TrajectoryRecord(grid, out_x, fast_states=out_y)

@@ -338,7 +338,6 @@ def run_freeze(cfg: ExperimentConfig):
     op_b, w_z = cfg.op_b(), cfg.weights_z()
     fast = cfg.fast_coupled_drift()
     slow = cfg.slow_coupled_drift()
-    observable = lambda z, u: slow(z, u)
     est_cfg = cfg.estimator_config()
     x0 = cfg.initial_state()
     z_grid = [np.zeros(cfg.k_trunc), x0, 2.0 * x0]
@@ -346,7 +345,7 @@ def run_freeze(cfg: ExperimentConfig):
     rows = []  # (z_id, component, bbar, se)
     for z_id, z in enumerate(z_grid):
         est, se = estimate_ergodic_drift(
-            z, fast, observable, op_b, w_z, cfg.beta, est_cfg,
+            z, fast, slow, op_b, w_z, cfg.beta, est_cfg,
             RngStream(cfg.seed, ESTIMATOR_STREAM + z_id),
         )
         for k in range(est.size):
@@ -355,11 +354,11 @@ def run_freeze(cfg: ExperimentConfig):
     # initial-condition insensitivity at z = x0: re-estimate from a displaced y0
     y_alt = np.ones(cfg.k_trunc)
     est_a, se_a = estimate_ergodic_drift(
-        x0, fast, observable, op_b, w_z, cfg.beta, est_cfg,
+        x0, fast, slow, op_b, w_z, cfg.beta, est_cfg,
         RngStream(cfg.seed, Y0_PAIR_STREAMS[0]),
     )
     est_b, se_b = estimate_ergodic_drift(
-        x0, fast, observable, op_b, w_z, cfg.beta, est_cfg,
+        x0, fast, slow, op_b, w_z, cfg.beta, est_cfg,
         RngStream(cfg.seed, Y0_PAIR_STREAMS[1]), y0=y_alt,
     )
     comb = np.sqrt(se_a**2 + se_b**2)
@@ -368,7 +367,7 @@ def run_freeze(cfg: ExperimentConfig):
     mixing = op_b.lambda_1 - fast.grad_y_bound
     t_grid = np.linspace(0.0, 3.0 / mixing, 31)
     decay = ergodic_decay_probe(
-        x0, y_alt * 2.0, fast, observable, op_b, w_z, cfg.beta, t_grid, 400,
+        x0, y_alt * 2.0, fast, slow, op_b, w_z, cfg.beta, t_grid, 400,
         RngStream(cfg.seed, DECAY_PROBE_STREAM), bbar=est_a,
     )
     rate = fit_decay_rate(t_grid, decay)

@@ -96,6 +96,7 @@ class AdmissibilityReport:
     ``delta`` sums beta_k^alpha / lam_k^(1 - alpha*theta) for the slow pair;
     ``kappa2`` sums q_k^beta / mu_k for the fast pair.  Tail bounds come from
     the integral test when both sequences carry power-law rules, else None.
+    ``passed`` also requires alpha*theta in (0, 1).
     """
 
     delta_partial: float
@@ -103,7 +104,6 @@ class AdmissibilityReport:
     kappa2_partial: float | None
     kappa2_tail_bound: float | None
     theta: float
-    alpha_theta_ok: bool
     passed: bool
 
 
@@ -144,9 +144,8 @@ def admissibility(
     """
     if op_a.k_trunc != w_l.k_trunc:
         raise ValueError("operator and weights must share the truncation level")
-    at_ok = 0 < alpha * theta < 1
     delta_partial, delta_tail = _weighted_sum(w_l, op_a, alpha, 1 - alpha * theta, w_l.k_trunc)
-    passed = at_ok
+    passed = 0 < alpha * theta < 1
     # a tail bound of None under power-law rules means the integral test diverges
     if w_l.decay_rule is not None and op_a.growth_rule is not None and delta_tail is None:
         passed = False
@@ -167,6 +166,5 @@ def admissibility(
         kappa2_partial=kappa2_partial,
         kappa2_tail_bound=kappa2_tail,
         theta=theta,
-        alpha_theta_ok=at_ok,
         passed=passed,
     )

@@ -1,6 +1,6 @@
 """Symmetric alpha-stable variates and the exact scales of stable convolutions.
 
-The scalar sampler uses the Chambers-Mallows-Stuck transform restricted to the
+The sampler uses the Chambers-Mallows-Stuck transform restricted to the
 symmetric standard family with stability index in (1, 2]; at index 2 the law
 is Normal(0, 2), matching the characteristic function exp(-u^2).
 """
@@ -78,21 +78,19 @@ def _cms(alpha, u, w):
     )
 
 
-def sample_standard_stable(alpha, rng, size=None):
+def sample_standard_stable(alpha, rng, size):
     """Draw from the standard symmetric stable law, CF exp(-|u|^alpha).
 
     ``rng`` may be an :class:`RngStream` or a live ``numpy.random.Generator``
-    (the latter allows sequential draws inside steppers).  A draw of two or
-    more axes is made row by row along the last one: each row takes its k
-    uniforms, then its k exponentials, so an ``(n, k)`` draw equals n
-    successive size-k draws bit for bit.  The transform then runs over the
-    whole block, in chunks of rows written back into the uniforms.
+    (the latter allows sequential draws inside steppers).  ``size`` is an int
+    or a shape of one or more axes.  The draw is made row by row along the
+    last axis: each row takes its k uniforms, then its k exponentials, so an
+    ``(n, k)`` draw equals n successive size-k draws bit for bit, and a size-k
+    draw is one row.  The transform then runs over the whole block, in chunks
+    of rows written back into the uniforms.
     """
     _check_alpha(alpha)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    if np.ndim(size) == 0 or len(size) < 2:
-        u = gen.uniform(-np.pi / 2, np.pi / 2, size=size)
-        return _cms(alpha, u, gen.standard_exponential(size=size))
     out, w = np.empty(size), np.empty(size)
     k = out.shape[-1]
     u_rows, w_rows = (a.reshape(math.prod(out.shape[:-1]), k) for a in (out, w))

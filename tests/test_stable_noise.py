@@ -57,9 +57,9 @@ def test_sample_symmetry():
 
 def test_sample_rejects_alpha_out_of_range():
     with pytest.raises(ValueError):
-        sample_standard_stable(1.0, RngStream(0))
+        sample_standard_stable(1.0, RngStream(0), size=1)
     with pytest.raises(ValueError):
-        sample_standard_stable(0.5, RngStream(0))
+        sample_standard_stable(0.5, RngStream(0), size=1)
 
 
 def test_stable_cf_values():
