@@ -166,7 +166,7 @@ def test_converge_point_mass_drift_errors_vanish():
     assert np.max(table.errors) <= 1e-12
     assert np.max(sup_table.errors) <= 1e-12
     assert fit is None
-    assert "refused" in notice
+    assert notice == "rate fit refused: nonpositive errors in the table"
 
 
 def test_converge_degenerate_grid_refuses_fit():

@@ -140,3 +140,20 @@ def test_admissibility_divergent_tail_reported():
     report = admissibility(op, w, alpha=1.5, theta=0.5)
     assert not report.passed
     assert report.delta_tail_bound is None
+    # the same divergent pair as the fast pair fails a convergent slow pair
+    rod, decaying = rod_operator(10), NoiseWeights.from_rule(PowerLawRule(1.0, -2.0), 10)
+    report = admissibility(rod, decaying, 1.5, 0.5, op_b=op, w_z=w, beta=1.5)
+    assert not report.passed
+    assert report.delta_tail_bound is not None
+    assert report.kappa2_tail_bound is None
+
+
+def test_admissibility_rejects_mismatched_pairs():
+    op, w = rod_operator(5), NoiseWeights.from_rule(PowerLawRule(1.0, -2.0), 5)
+    short = NoiseWeights.from_rule(PowerLawRule(1.0, -2.0), 4)
+    with pytest.raises(ValueError, match="truncation level"):
+        admissibility(op, short, alpha=1.5, theta=0.5)
+    with pytest.raises(ValueError, match="truncation level"):
+        admissibility(op, w, 1.5, 0.5, op_b=op, w_z=short, beta=1.5)
+    with pytest.raises(ValueError, match="together"):
+        admissibility(op, w, 1.5, 0.5, op_b=op, w_z=w)
