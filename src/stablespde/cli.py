@@ -60,24 +60,20 @@ def _converge(cfg, out):
     checked, table, sup_table, fit, notice = harness.run_converge(cfg)
     rows = list(table.rows())
     lines = [f"eps={eps:<8g} error={err:.6g} se={se:.3g} (n={n})" for eps, _, err, se, n in rows]
+    fit_block = None
     if fit is not None:
         lines.append(
             f"log-log slope {fit.slope:.4f} (r2={fit.r_squared:.3f}); "
             f"theoretical exponent bound {fit.theoretical_exponent:.4f}"
         )
-    elif notice:
+        fit_block = asdict(fit)
+        fit_block["theoretical_exponent_bound"] = fit_block.pop("theoretical_exponent")
+    else:
         lines.append(notice)
     extra = {
         "error_table": [list(r) for r in rows],
         "sup_error_table": [list(r) for r in sup_table.rows()],
-        "rate_fit": None
-        if fit is None
-        else {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r_squared": fit.r_squared,
-            "theoretical_exponent_bound": fit.theoretical_exponent,
-        },
+        "rate_fit": fit_block,
         "notice": notice,
     }
     return checked, {"converge.csv": ("eps,p,error,se,n_paths", rows)}, extra, lines
@@ -134,6 +130,8 @@ def _run(args) -> int:
         cfg.n_paths = args.paths
     cfg.validate()
     out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {out} exists and is not a directory")
     (report, checks), csvs, extra, lines = _COMMANDS[args.command](cfg, out)
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in csvs.items():

@@ -22,6 +22,7 @@ from .drifts import (
     SaturatingCoupledDrift,
     SaturatingRegimeDrift,
 )
+from .engine import fast_substeps
 from .spectral import SpectralOperator
 from .stable_noise import NoiseWeights, PowerLawRule
 from .switching import ClassPartition, GeneratorMatrix
@@ -125,7 +126,8 @@ class ExperimentConfig:
 
         self.op_a(), self.weights_l(), self.initial_state()
         if self.scenario == "fast-slow":
-            n_sub = np.ceil(self.dt / self.c_sub / eps_min)
+            with _naming("c_sub"):  # the count the solve takes
+                n_sub = fast_substeps(self.dt, eps_min, self.c_sub)
             _bound("fast substeps T / (c_sub x min eps_grid) x k_trunc modes", n_steps * n_sub * k)
             self.weights_z(), self.initial_fast_state()
             mixing = self.op_b().lambda_1 - self.fast_coupled_drift().grad_y_bound

@@ -64,6 +64,16 @@ class TrajectoryRecord:
     fast_states: np.ndarray | None = None
 
 
+def fast_substeps(dt: float, eps: float, c_sub: float) -> int:
+    """ceil(dt / (c_sub eps)), at least 1; a quotient within 1e-9 relative of a
+    whole number counts as that number, not as its ceiling."""
+    ratio = dt / c_sub / eps
+    if not np.isfinite(ratio):
+        raise ValueError(f"fast substep count dt / (c_sub eps) = {ratio} is not finite")
+    whole = round(ratio)
+    return max(1, whole if abs(whole - ratio) <= 1e-9 * ratio else int(np.ceil(ratio)))
+
+
 def _check_noise(noise, n_steps: int, k: int) -> None:
     if np.shape(noise) != (n_steps, k):
         raise ValueError(f"noise must have shape ({n_steps}, {k}), got {np.shape(noise)}")
@@ -209,21 +219,17 @@ def solve_fast_slow(
     ``noise`` drives the slow field's step i; the fast field draws its own
     noise on ``rng.substream(Z_NOISE_TAG)``, one row per substep.  The slow
     field advances once per grid step with both arguments frozen at the step's
-    left endpoint; the fast field sub-steps with h_f = dt / ceil(dt / (c_sub eps))
-    so the O(1/eps) drift stays resolved (a quotient within 1e-9 relative of a
-    whole number counts as that number).  Its plan is the mild step of
-    dY = (-B Y + f) / eps dt + eps^(-1/beta) dZ: eigenvalues mu_k / eps and
-    noise weights q_k eps^(-1/beta), with the drift entering as f / eps.
+    left endpoint; the fast field takes ``fast_substeps(dt, eps, c_sub)``
+    substeps per step, so the O(1/eps) drift stays resolved.  Its plan is the
+    mild step of dY = (-B Y + f) / eps dt + eps^(-1/beta) dZ: eigenvalues
+    mu_k / eps and noise weights q_k eps^(-1/beta), the drift entering as f / eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if fast_drift.grad_y_bound >= op_b.lambda_1:
         raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
     grid, dt = _check_grid(grid)
-    # a quotient within 1e-9 relative of a whole number is that number, not its ceiling
-    ratio = dt / (c_sub * eps)
-    whole = round(ratio)
-    n_sub = max(1, whole if abs(whole - ratio) <= 1e-9 * ratio else int(np.ceil(ratio)))
+    n_sub = fast_substeps(dt, eps, c_sub)
     slow_plan = make_step_plan(op_a, w_l, alpha, dt)
     fast_plan = make_step_plan(
         SpectralOperator(op_b.eigenvalues / eps),

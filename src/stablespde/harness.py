@@ -81,9 +81,9 @@ def theoretical_rate_exponent(alpha: float, p: float, theta: float) -> float:
 def rate_fit(table: ErrorTable, theoretical: float) -> RateFit:
     """OLS of log error on log eps.  Positive slope = error shrinks with eps."""
     if table.eps.size < 3:
-        raise ValueError("rate fit needs at least 3 grid points")
+        raise ValueError("fewer than 3 grid points")
     if np.any(table.errors <= 0):
-        raise ValueError("rate fit needs positive errors")
+        raise ValueError("nonpositive errors in the table")
     x = np.log(table.eps)
     y = np.log(table.errors)
     slope, intercept = np.polyfit(x, y, 1)
@@ -124,15 +124,8 @@ def run_check(cfg: ExperimentConfig):
     op_a = cfg.op_a()
     w_l = cfg.weights_l()
     fast = cfg.scenario == "fast-slow"
-    report = admissibility(
-        op_a,
-        w_l,
-        cfg.alpha,
-        cfg.theta,
-        op_b=cfg.op_b() if fast else None,
-        w_z=cfg.weights_z() if fast else None,
-        beta=cfg.beta if fast else None,
-    )
+    fast_pair = dict(op_b=cfg.op_b(), w_z=cfg.weights_z(), beta=cfg.beta) if fast else {}
+    report = admissibility(op_a, w_l, cfg.alpha, cfg.theta, **fast_pair)
     add(
         "noise admissibility",
         report.passed,
@@ -293,13 +286,12 @@ def run_converge(cfg: ExperimentConfig):
     table, sup_table = (ErrorTable(eps_arr, cfg.p, *m.T, cfg.n_paths) for m in moments)
 
     theo = theoretical_rate_exponent(cfg.alpha, cfg.p, cfg.theta)
-    fit, notice = None, ""
-    if eps_arr.size < 3:
-        notice = "rate fit refused: fewer than 3 grid points"
-    elif np.any(table.errors <= 0):
-        notice = "rate fit refused: nonpositive errors in the table"
-    else:
-        fit = rate_fit(table, theo)
+    try:
+        fit, notice = rate_fit(table, theo), ""
+    except np.linalg.LinAlgError:  # a ValueError subclass: a failed fit, not a refusal
+        raise
+    except ValueError as exc:
+        fit, notice = None, f"rate fit refused: {exc}"
     return (report, checks), table, sup_table, fit, notice
 
 
@@ -342,25 +334,21 @@ def run_freeze(cfg: ExperimentConfig):
     x0 = cfg.initial_state()
     z_grid = [np.zeros(cfg.k_trunc), x0, 2.0 * x0]
 
+    def estimate(z, stream_id, y0=None):
+        return estimate_ergodic_drift(
+            z, fast, slow, op_b, w_z, cfg.beta, est_cfg, RngStream(cfg.seed, stream_id), y0=y0
+        )
+
     rows = []  # (z_id, component, bbar, se)
     for z_id, z in enumerate(z_grid):
-        est, se = estimate_ergodic_drift(
-            z, fast, slow, op_b, w_z, cfg.beta, est_cfg,
-            RngStream(cfg.seed, ESTIMATOR_STREAM + z_id),
-        )
+        est, se = estimate(z, ESTIMATOR_STREAM + z_id)
         for k in range(est.size):
             rows.append((z_id, k, float(est[k]), float(se[k])))
 
     # initial-condition insensitivity at z = x0: re-estimate from a displaced y0
     y_alt = np.ones(cfg.k_trunc)
-    est_a, se_a = estimate_ergodic_drift(
-        x0, fast, slow, op_b, w_z, cfg.beta, est_cfg,
-        RngStream(cfg.seed, Y0_PAIR_STREAMS[0]),
-    )
-    est_b, se_b = estimate_ergodic_drift(
-        x0, fast, slow, op_b, w_z, cfg.beta, est_cfg,
-        RngStream(cfg.seed, Y0_PAIR_STREAMS[1]), y0=y_alt,
-    )
+    est_a, se_a = estimate(x0, Y0_PAIR_STREAMS[0])
+    est_b, se_b = estimate(x0, Y0_PAIR_STREAMS[1], y0=y_alt)
     comb = np.sqrt(se_a**2 + se_b**2)
     y0_gap_in_se = float(np.max(np.abs(est_a - est_b) / np.where(comb > 0, comb, np.inf)))
 

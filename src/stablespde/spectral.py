@@ -107,25 +107,23 @@ class AdmissibilityReport:
     passed: bool
 
 
-def _power_law_tail(coef: float, s: float, k_trunc: int) -> float | None:
-    """Integral-test bound on sum_{k > k_trunc} coef * k^-s; None if divergent."""
-    if s <= 1:
-        return None
-    return coef * k_trunc ** (1 - s) / (s - 1)
+def _weighted_sum(weights: NoiseWeights, op: SpectralOperator, idx: float, lam_exp: float):
+    """(partial sum, tail bound, converges) of sum_k w_k^idx / lam_k^lam_exp.
 
-
-def _weighted_sum(
-    weights: NoiseWeights, op: SpectralOperator, idx: float, lam_exp: float, k_trunc: int
-):
-    """Partial sum and tail bound of sum_k w_k^idx / lam_k^lam_exp."""
+    The tail over k > k_trunc is bounded by the integral test, which needs
+    power-law rules on both sides; under them the sum diverges iff s <= 1.
+    """
+    if op.k_trunc != weights.k_trunc:
+        raise ValueError("operator and weights must share the truncation level")
     partial = float(np.sum(weights.weights**idx / op.eigenvalues**lam_exp))
-    tail = None
-    if weights.decay_rule is not None and op.growth_rule is not None:
-        wr, gr = weights.decay_rule, op.growth_rule
-        coef = wr.c**idx / gr.c**lam_exp
-        s = -wr.exponent * idx + gr.exponent * lam_exp
-        tail = _power_law_tail(coef, s, k_trunc)
-    return partial, tail
+    wr, gr = weights.decay_rule, op.growth_rule
+    if wr is None or gr is None:
+        return partial, None, True
+    s = -wr.exponent * idx + gr.exponent * lam_exp  # the summand is coef * k^-s
+    if s <= 1:
+        return partial, None, False
+    coef = wr.c**idx / gr.c**lam_exp
+    return partial, coef * op.k_trunc ** (1 - s) / (s - 1), True
 
 
 def admissibility(
@@ -142,23 +140,15 @@ def admissibility(
     Failure is reported through ``passed``, not raised: callers use the report
     to refuse a run, and a failing configuration is legitimate input.
     """
-    if op_a.k_trunc != w_l.k_trunc:
-        raise ValueError("operator and weights must share the truncation level")
-    delta_partial, delta_tail = _weighted_sum(w_l, op_a, alpha, 1 - alpha * theta, w_l.k_trunc)
-    passed = 0 < alpha * theta < 1
-    # a tail bound of None under power-law rules means the integral test diverges
-    if w_l.decay_rule is not None and op_a.growth_rule is not None and delta_tail is None:
-        passed = False
+    delta_partial, delta_tail, converges = _weighted_sum(w_l, op_a, alpha, 1 - alpha * theta)
+    passed = converges and 0 < alpha * theta < 1
 
     kappa2_partial = kappa2_tail = None
     if op_b is not None:
         if w_z is None or beta is None:
             raise ValueError("fast pair requires op_b, w_z and beta together")
-        if op_b.k_trunc != w_z.k_trunc:
-            raise ValueError("fast operator and weights must share the truncation level")
-        kappa2_partial, kappa2_tail = _weighted_sum(w_z, op_b, beta, 1.0, w_z.k_trunc)
-        if w_z.decay_rule is not None and op_b.growth_rule is not None and kappa2_tail is None:
-            passed = False
+        kappa2_partial, kappa2_tail, converges = _weighted_sum(w_z, op_b, beta, 1.0)
+        passed = passed and converges
 
     return AdmissibilityReport(
         delta_partial=delta_partial,

@@ -92,6 +92,8 @@ def sample_standard_stable(alpha, rng, size):
     _check_alpha(alpha)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     out, w = np.empty(size), np.empty(size)
+    if out.ndim == 0:
+        raise ValueError(f"size must have at least one axis, got {size!r}")
     k = out.shape[-1]
     u_rows, w_rows = (a.reshape(math.prod(out.shape[:-1]), k) for a in (out, w))
     for u_row, w_row in zip(u_rows, w_rows):

@@ -161,3 +161,14 @@ def test_config_echo_roundtrips_through_defaults(tmp_path):
     assert echo["alpha"] == 1.7
     assert echo["scenario"] == "switching-single"
     assert set(echo) >= {"eps_grid", "seed", "k_trunc", "dt"}
+
+
+def test_size_gate_counts_the_fast_substeps_the_solve_takes():
+    # 3 steps x 7 substeps x 450,000 modes = 9.45e6 values, under MAX_RUN_SIZE;
+    # a gate that takes the ceiling of 7.000000000000001 counts 1.08e7 and refuses
+    extra = (
+        "T = 0.21\ndt = 0.07\neps_grid = [0.02]\nc_sub = 0.5\nk_trunc = 450000\n"
+        "est_burn_in = 0.0\nest_horizon = 0.05\n"
+    )
+    cfg = parse_config((CONFIG_DIR / "fast_slow.cfg").read_text() + extra)
+    assert cfg.k_trunc == 450000

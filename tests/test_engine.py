@@ -16,6 +16,7 @@ from stablespde.drifts import (
 from stablespde.engine import (
     draw_noise,
     drift_factor,
+    fast_substeps,
     make_step_plan,
     solve_averaged_spde,
     solve_fast_slow,
@@ -293,6 +294,14 @@ def test_fast_slow_substep_count_ignores_quotient_rounding():
     gap_x, gap_y = _reference_fast_slow_gap(0.07, 3, eps=0.02, c_sub=0.5, n_sub=7)
     assert gap_x < 1e-10
     assert gap_y < 1e-10
+
+
+def test_fast_substeps_counts_a_near_whole_quotient_as_whole():
+    assert fast_substeps(0.07, 0.02, 0.5) == 7  # the quotient evaluates to 7.000000000000001
+    assert fast_substeps(0.02, 0.02, 0.5) == 2
+    assert fast_substeps(0.02, 0.02, 100.0) == 1
+    with pytest.raises(ValueError, match="not finite"):
+        fast_substeps(1.0, 1e-300, 1e-300)
 
 
 def test_non_uniform_grid_rejected():

@@ -315,6 +315,19 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_cli_out_naming_a_file_is_input_error_before_the_run(tmp_path, capsys, monkeypatch):
+    def never(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli.harness, "run_converge", never)
+    cfg, out = tmp_path / "ok.cfg", tmp_path / "a_file"
+    cfg.write_text(SMALL_SWITCHING, encoding="utf-8")
+    out.write_text("", encoding="utf-8")
+    assert cli.main(["converge", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert "input error: --out" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == ""
+
+
 def test_cli_converge_outputs_deterministic(small_cfg_file, tmp_path):
     args = ["converge", "--config", str(small_cfg_file), "--paths", "8", "--quiet"]
     rc1 = cli.main(args + ["--out", str(tmp_path / "a")])

@@ -62,6 +62,13 @@ def test_sample_rejects_alpha_out_of_range():
         sample_standard_stable(0.5, RngStream(0), size=1)
 
 
+def test_sample_names_a_size_without_axes():
+    with pytest.raises(ValueError, match=r"size .*\(\)"):
+        sample_standard_stable(1.5, RngStream(0), size=())
+    assert sample_standard_stable(1.5, RngStream(0), size=(0,)).shape == (0,)
+    assert sample_standard_stable(1.5, RngStream(0), size=(3, 0)).shape == (3, 0)
+
+
 def test_stable_cf_values():
     assert stable_cf(1.5, 0.0) == pytest.approx(1.0)
     assert stable_cf(2.0, 1.0) == pytest.approx(np.exp(-1.0))
