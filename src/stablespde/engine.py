@@ -8,8 +8,8 @@ uniform time grid, so its per-mode factors form one :class:`MildStepPlan`
 built once.  Chain jumps inside a step are resolved by sub-stepping the drift
 at the exact jump times; the noise term needs no refinement.  The fast field
 of a fast-slow pair steps through the same plan form, for the operator and
-noise rescaled by its time scale.  The noise substream tags are defined in
-:mod:`.rng`.
+noise rescaled by its time scale.  The noise substream tags and the stream
+contract are defined in :mod:`.rng`.
 """
 
 from __future__ import annotations
@@ -79,6 +79,11 @@ def _check_noise(noise, n_steps: int, k: int) -> None:
         raise ValueError(f"noise must have shape ({n_steps}, {k}), got {np.shape(noise)}")
 
 
+def _check_ergodic(fast_drift, op_b: SpectralOperator) -> None:
+    if fast_drift.grad_y_bound >= op_b.lambda_1:
+        raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
+
+
 def _check_grid(grid) -> tuple[np.ndarray, float]:
     """The grid as an array and its one step size; steps may differ by rounding only."""
     grid = np.asarray(grid, dtype=float)
@@ -91,7 +96,7 @@ def _check_grid(grid) -> tuple[np.ndarray, float]:
 
 
 def draw_noise(alpha: float, stream: RngStream, n_steps: int, k: int) -> np.ndarray:
-    """(n_steps, k) standard stable variates; row i is the i-th size-k draw on ``stream``."""
+    """(n_steps, k) standard stable variates: one flat draw on ``stream`` (see :mod:`.rng`)."""
     return sample_standard_stable(alpha, stream, size=(n_steps, k))
 
 
@@ -188,8 +193,7 @@ def solve_frozen_fast(
     rng: RngStream,
 ) -> TrajectoryRecord:
     """Fast field with the slow variable frozen at ``z`` (no time-scale factor)."""
-    if fast_drift.grad_y_bound >= op_b.lambda_1:
-        raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
+    _check_ergodic(fast_drift, op_b)
     z = np.asarray(z, dtype=float)
     grid, _ = _check_grid(grid)
     noise = draw_noise(beta, rng.substream(Z_NOISE_TAG), grid.size - 1, op_b.k_trunc)
@@ -226,8 +230,7 @@ def solve_fast_slow(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if fast_drift.grad_y_bound >= op_b.lambda_1:
-        raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
+    _check_ergodic(fast_drift, op_b)
     grid, dt = _check_grid(grid)
     n_sub = fast_substeps(dt, eps, c_sub)
     slow_plan = make_step_plan(op_a, w_l, alpha, dt)

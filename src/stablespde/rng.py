@@ -41,6 +41,10 @@ class RngStream:
 # Stream keys, each named once.  Path j of a sweep runs on RngStream(seed, j), and
 # each noise source owns one substream tag.  The harness draws L once per path and
 # hands that array to every solve of the path, so coupled runs share their noise.
+# Stream contract: each (path, stable source L or Z) is one sampler draw on a fresh
+# generator of its substream, all its uniforms then all its exponentials, so a draw
+# of any shape is the 1-d draw of as many values, reshaped (row i of a noise array
+# is the i-th run of k values).  The chain keeps its own order (switching._CHUNK).
 L_NOISE_TAG = 0  # slow-field noise L, k_trunc variates per grid step
 CHAIN_TAG = 1  # the switching chain, simulated by the harness
 Z_NOISE_TAG = 2  # fast-field noise Z: frozen-fast and fast-slow solves

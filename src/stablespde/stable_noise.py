@@ -7,7 +7,6 @@ is Normal(0, 2), matching the characteristic function exp(-u^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,7 @@ class NoiseWeights:
         return self.weights.size
 
 
-# values per transform chunk of a row-wise draw: bounds the transform's temporaries
+# values per transform chunk: bounds the transform's temporaries
 _TRANSFORM_CHUNK = 1 << 14
 
 
@@ -83,25 +82,24 @@ def sample_standard_stable(alpha, rng, size):
 
     ``rng`` may be an :class:`RngStream` or a live ``numpy.random.Generator``
     (the latter allows sequential draws inside steppers).  ``size`` is an int
-    or a shape of one or more axes.  The draw is made row by row along the
-    last axis: each row takes its k uniforms, then its k exponentials, so an
-    ``(n, k)`` draw equals n successive size-k draws bit for bit, and a size-k
-    draw is one row.  The transform then runs over the whole block, in chunks
-    of rows written back into the uniforms.
+    or a shape of one or more axes.  The draw follows the stream contract of
+    :mod:`.rng`: all its uniforms, then all its exponentials, so a draw of any
+    shape is the 1-d draw of as many values, reshaped.  The transform then
+    runs in chunks of values written back into the uniforms.
     """
     _check_alpha(alpha)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     out, w = np.empty(size), np.empty(size)
     if out.ndim == 0:
         raise ValueError(f"size must have at least one axis, got {size!r}")
-    k = out.shape[-1]
-    u_rows, w_rows = (a.reshape(math.prod(out.shape[:-1]), k) for a in (out, w))
-    for u_row, w_row in zip(u_rows, w_rows):
-        u_row[:] = gen.uniform(-np.pi / 2, np.pi / 2, size=k)
-        gen.standard_exponential(out=w_row)
-    step = max(1, _TRANSFORM_CHUNK // max(k, 1))
-    for i in range(0, len(u_rows), step):
-        u_rows[i : i + step] = _cms(alpha, u_rows[i : i + step], w_rows[i : i + step])
+    u, w = out.reshape(-1), w.reshape(-1)
+    gen.random(out=u)  # then in place, the bits of gen.uniform(-pi/2, pi/2)
+    u *= np.pi
+    u -= np.pi / 2
+    gen.standard_exponential(out=w)
+    for i in range(0, u.size, _TRANSFORM_CHUNK):
+        chunk = slice(i, i + _TRANSFORM_CHUNK)
+        u[chunk] = _cms(alpha, u[chunk], w[chunk])
     return out
 
 

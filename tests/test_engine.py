@@ -253,17 +253,20 @@ def _reference_fast_slow_gap(dt, n, eps, c_sub, n_sub):
     lam, mu = op_a.eigenvalues, op_b.eigenvalues / eps
     q = w_z.weights * eps ** (-1 / beta)
     h = dt / n_sub
+    # each noise source is one flat draw; step i takes its next k values
+    xi_flat = sample_standard_stable(alpha, gen_l, size=n * k)
+    zeta_flat = sample_standard_stable(beta, gen_z, size=n * n_sub * k)
     x, y = np.ones(k), 0.5 * np.ones(k)
-    for _ in range(n):
-        xi = sample_standard_stable(alpha, gen_l, size=k)
+    for i in range(n):
+        xi = xi_flat[i * k : (i + 1) * k]
         bx = slow(x, y)
         x_new = (
             np.exp(-lam * dt) * x
             + bx * (1 - np.exp(-lam * dt)) / lam
             + w_l.weights * ((1 - np.exp(-alpha * lam * dt)) / (alpha * lam)) ** (1 / alpha) * xi
         )
-        for _ in range(n_sub):
-            zeta = sample_standard_stable(beta, gen_z, size=k)
+        for j in range(i * n_sub, (i + 1) * n_sub):
+            zeta = zeta_flat[j * k : (j + 1) * k]
             fy = fast(x, y) / eps
             y = (
                 np.exp(-mu * h) * y
@@ -351,15 +354,14 @@ def test_record_shapes():
     assert np.array_equal(rec.times, grid)
 
 
-def test_draw_noise_rows_are_the_per_step_draws():
-    # row i is the i-th size-k draw on one generator of the stream, the order a
-    # solve used to draw its noise in, step by step
+def test_draw_noise_rows_are_the_flat_draw_in_order():
+    # row i holds values i*k .. i*k + k-1 of the 1-d draw on one generator of the stream
     stream = RngStream(15, 2).substream(L_NOISE_TAG)
     noise = draw_noise(1.5, stream, 7, 4)
-    gen = stream.generator()
+    flat = sample_standard_stable(1.5, stream.generator(), size=28)
     assert noise.shape == (7, 4)
-    for row in noise:
-        assert np.array_equal(row, sample_standard_stable(1.5, gen, size=4))
+    for i, row in enumerate(noise):
+        assert np.array_equal(row, flat[4 * i : 4 * i + 4])
 
 
 def test_draw_noise_memory_is_bounded():

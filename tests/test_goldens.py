@@ -5,6 +5,9 @@ appended to the config text (later keys override earlier ones), runs the CLI
 under the preset seed and compares the sha256 of every file it writes.  The
 hashes pin behaviour across refactors: a change meant to keep outputs must keep
 them, and a change meant to move an output must say so when it re-records them.
+
+The hashes are bit-exact to numpy's Philox, ziggurat and SIMD loops; they are
+recorded with numpy 2.4.6, the version the CI workflow installs.
 """
 
 import hashlib
@@ -25,49 +28,49 @@ SMALL = {
 
 GOLDEN = {
     ("check", "switching_single.cfg"): {
-        "summary.json": "7a76455b9d1d53b65f247537f9113cb751453415688adbb74c0e66576b07eb1d",
+        "summary.json": "62986d84f3fb4d9276ded5f79ffe39846550600f8b361dba26c7709ca3d11114",
     },
     ("simulate", "switching_single.cfg"): {
-        "simulate.csv": "e48490513624bfabc0a705814bcd797c4925e674dc776e2d414042565d0b73ed",
-        "summary.json": "7a76455b9d1d53b65f247537f9113cb751453415688adbb74c0e66576b07eb1d",
+        "simulate.csv": "08cb20f7443dddec9b4a2723d27f305bf39c17bf23ffafa4da527f2694bcf8f2",
+        "summary.json": "62986d84f3fb4d9276ded5f79ffe39846550600f8b361dba26c7709ca3d11114",
     },
     ("converge", "switching_single.cfg"): {
-        "converge.csv": "da5d4bb1a9a229dce76009147e98d8df0a0f3310a42ef1d75620ea359a20998a",
-        "summary.json": "2d34e828423e0fa9c92068143342d3c599a035cc72f70e76c4f8ff3c5979e875",
+        "converge.csv": "163ec1ba74c81af65adfb5ae7e7e6e1ae5dd4b95825b492b443dd77229154ede",
+        "summary.json": "ce9557b62e4c14963eba4def1f76d0468b6e42c91c6c833269f93bd4ba1498c5",
     },
     ("check", "switching_multiclass.cfg"): {
-        "summary.json": "d69ba66557647b54d5de3ffe44835a62ff05c7d165141350b88bb1caa5d4b8bf",
+        "summary.json": "8b0f65b0334b8e6bb3859f0946777d3850c8978a882570c80aef30f04493b3e2",
     },
     ("simulate", "switching_multiclass.cfg"): {
-        "simulate.csv": "bdef0f78c859a3a4556b215687cc9f4e34056d375918dc890ebfd1d0ca443616",
-        "summary.json": "d69ba66557647b54d5de3ffe44835a62ff05c7d165141350b88bb1caa5d4b8bf",
+        "simulate.csv": "9da45982182ce8f309431465828ab2737f93121b49a7c7e87737d2dd7d7dca12",
+        "summary.json": "8b0f65b0334b8e6bb3859f0946777d3850c8978a882570c80aef30f04493b3e2",
     },
     ("converge", "switching_multiclass.cfg"): {
-        "converge.csv": "19611808ecbad466d5fdd428d81d6de55b8a1c503c3c3bae20c30042c3ecc106",
-        "summary.json": "fd619f1bb5137d9c4bf91fedf0226169e071044b4ff7aae1651a55853038b878",
+        "converge.csv": "759d369de2d1e0dbe0ba36727eb7422a7a70cf2e6ed9224447ab097118b3bb81",
+        "summary.json": "361d7631730e091727e752772142ecbb3dadc3ea9189c80cce8ebfb1af0b3536",
     },
     ("check", "fast_slow.cfg"): {
-        "summary.json": "e67db2e18167eb5585d3933f496b8f88197ac347dbed2b1029dc777b48ed06d5",
+        "summary.json": "3b28012062670ba79c1393b82357a0d6d74b6a4bd872f27cb95b648832b141fe",
     },
     ("simulate", "fast_slow.cfg"): {
-        "simulate.csv": "2d1390556d7d0cd2cd9d5083dcee740df21629aa15ccaaeea81a023848e78fe4",
-        "summary.json": "e67db2e18167eb5585d3933f496b8f88197ac347dbed2b1029dc777b48ed06d5",
+        "simulate.csv": "12f4821a6ad9f8fb0bd360b2233acb02ca2ea3edbf303e1f2b98ff3cf70e4de3",
+        "summary.json": "3b28012062670ba79c1393b82357a0d6d74b6a4bd872f27cb95b648832b141fe",
     },
     ("converge", "fast_slow.cfg"): {
-        "converge.csv": "957fac6214036a3c0f685c07412c064ce33e0323fc8d0c3f516368596548c77d",
-        "summary.json": "1a3827c6abf43fa098eecd1deca78cee689dd0c415e1e005a19234d52f5052e9",
+        "converge.csv": "98ba5dc5ed93945826aadc4e8d3a1e4bf3215179c388e537fe4f0d8a9bee9614",
+        "summary.json": "0b553643566bdbf7b3e4d33147196805e27d78b79be3aeb52e7d8e5502635698",
     },
     ("freeze", "fast_slow.cfg"): {
-        "freeze.csv": "686b6bd3023abd0c23d819af7fa031869d9a6b8048d9e368162c821cb8f3b195",
-        "freeze_decay.csv": "9a9b6b7fac722c98b24e69351a7d7c606fc56387e49ef6dcc85dd3528075cad3",
-        "summary.json": "b942004cefc5f7f3ebcc16de785446e584784909f147105543a7ef7c22aa89ef",
+        "freeze.csv": "d2400bebf7fc0e4e29b6f5ff3459e41f967329f7e17412880a575fd1a8e19382",
+        "freeze_decay.csv": "518cfc0ff25ca14920bae4cc32899b8721381b1e94af897735355283c659ae0c",
+        "summary.json": "0102d39ec0f73f9a3cf7d2c5c1e8e11c6a9d501272662359aadb47e777c9d465",
     },
     ("check", "aggregate.cfg"): {
-        "summary.json": "d1a1bfa4b49b230afb04335e5d3dc4a158ce6cb2235625fc6e1577494fb832e7",
+        "summary.json": "d515bb33fed12febcbed09a814b5bffbabc8f5692cdcdb924ca317dfdcf93b52",
     },
     ("aggregate", "aggregate.cfg"): {
         "aggregate.csv": "6b2131e44a13eaae7ce8417b5ad7547119777a822d51898e1dd2e79ca6d7564c",
-        "summary.json": "cd08495cb89856c6bc1f1c4cbd728e7fda0586b81b3660605dac331f00f0ccf0",
+        "summary.json": "95468e4c728f53d35d8d3121dde7d5703b538321a6272a72610cb59d94eb73c9",
     },
 }
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from stablespde.rng import RngStream
 from stablespde.stable_noise import (
     NoiseWeights,
     PowerLawRule,
+    _cms,
     convolution_scale,
     ecf,
     sample_standard_stable,
@@ -101,13 +103,29 @@ def test_stream_determinism(seed, stream_id):
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0])
-@pytest.mark.parametrize("n, k", [(1, 1), (7, 4), (1200, 20)])
-def test_row_wise_draw_is_successive_draws(alpha, n, k):
-    block = sample_standard_stable(alpha, RngStream(8, 1).generator(), size=(n, k))
-    gen = RngStream(8, 1).generator()
-    rows = np.array([sample_standard_stable(alpha, gen, size=k) for _ in range(n)])
-    assert block.shape == (n, k)
-    assert block.tobytes() == rows.tobytes()
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (7, 4), (1200, 20), (2, 3, 5), (0,), (3, 0), (2, 0, 3), (4, 4096), (5, 3277)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+@pytest.mark.parametrize("live", [False, True], ids=["stream", "generator"])
+def test_draw_is_the_flat_draw_reshaped(alpha, shape, live):
+    stream = RngStream(8, 1)
+    block = sample_standard_stable(alpha, stream.generator() if live else stream, size=shape)
+    flat = sample_standard_stable(alpha, stream.generator(), size=math.prod(shape))
+    assert block.shape == shape
+    assert block.tobytes() == flat.reshape(shape).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+@pytest.mark.parametrize("n", [16384, 16385])
+def test_flat_draw_is_uniforms_then_exponentials(alpha, n):
+    # the transform's chunks around _TRANSFORM_CHUNK leave no trace in the bits
+    gen = RngStream(9, 2).generator()
+    u = gen.uniform(-np.pi / 2, np.pi / 2, size=n)
+    w = gen.standard_exponential(size=n)
+    samples = sample_standard_stable(alpha, RngStream(9, 2), size=n)
+    assert samples.tobytes() == _cms(alpha, u, w).tobytes()
 
 
 @pytest.mark.parametrize(
