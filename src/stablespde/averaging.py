@@ -21,36 +21,23 @@ from .engine import solve_frozen_fast
 _N_BATCHES = 10  # batch means per replication in the estimator's standard error
 
 
-def nu_average_drift(drift, nu: np.ndarray, x: FieldState) -> FieldState:
-    """Stationary-weighted drift sum_i nu_i b(x, i)."""
+def nu_average_drift(drift, nu: np.ndarray):
+    """Stationary-weighted drift sum_i nu_i b(., i): one regime of ``drift``'s family."""
     nu = np.asarray(nu, dtype=float)
     if nu.size != drift.n_regimes:
         raise ValueError("weight vector length must match the regime count")
-    return sum(nu[i] * drift(x, i) for i in range(nu.size))
+    return drift.averaged(nu.reshape(1, -1))
 
 
-def make_nu_averaged(drift, nu: np.ndarray):
-    nu = np.asarray(nu, dtype=float)
-    return lambda x: nu_average_drift(drift, nu, x)
-
-
-def class_average_drift(
-    drift,
-    partition: ClassPartition,
-    mu_blocks: list[np.ndarray],
-    y: FieldState,
-    class_idx: int,
-) -> FieldState:
-    """Within-class stationary average sum_j mu_ij b(y, s_ij)."""
-    states = partition.classes[class_idx]
-    mu = np.asarray(mu_blocks[class_idx], dtype=float)
-    if mu.size != len(states):
-        raise ValueError("block weight length must match the class size")
-    return sum(mu[j] * drift(y, s) for j, s in enumerate(states))
-
-
-def make_class_averaged(drift, partition: ClassPartition, mu_blocks: list[np.ndarray]):
-    return lambda y, i: class_average_drift(drift, partition, mu_blocks, y, i)
+def class_average_drift(drift, partition: ClassPartition, mu_blocks: list[np.ndarray]):
+    """The regime drift over classes: class i drifts by sum_j mu_ij b(., s_ij)."""
+    weights = np.zeros((len(partition.classes), drift.n_regimes))
+    for i, (states, mu) in enumerate(zip(partition.classes, mu_blocks, strict=True)):
+        mu = np.asarray(mu, dtype=float)
+        if mu.size != len(states):
+            raise ValueError("block weight length must match the class size")
+        weights[i, list(states)] = mu
+    return drift.averaged(weights)
 
 
 @dataclass(frozen=True)

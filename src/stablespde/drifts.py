@@ -2,9 +2,10 @@
 
 Two shapes of drift appear: regime drifts b(x, i) indexed by a finite chain
 state, and coupled drifts b(x, y) / f(x, y) taking a second field argument.
-Each drift declares, as upper bounds, the regularity constants that
-``harness.run_check`` reads: Lipschitz constants of the regime drifts, and the
-bound on the derivative in y and the uniform bound of the coupled drifts.
+Weighted over its regimes, a regime drift is one of the same family
+(``averaged``); a coupled drift with x frozen is a one-regime saturating drift
+(``frozen``).  Called without a regime, a drift uses regime 0, so a one-regime
+drift maps state to state.
 
 The saturating nonlinearity is tanh: odd, bounded, 1-Lipschitz.
 """
@@ -25,16 +26,16 @@ class LinearRegimeDrift:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
 
-    def __call__(self, x: np.ndarray, regime: int) -> np.ndarray:
+    def __call__(self, x: np.ndarray, regime: int = 0) -> np.ndarray:
         return self.coeffs[regime] * x
 
     @property
     def n_regimes(self) -> int:
         return self.coeffs.size
 
-    @property
-    def lipschitz(self) -> np.ndarray:
-        return np.abs(self.coeffs)
+    def averaged(self, weights) -> LinearRegimeDrift:
+        """Regime i of the result is sum_j weights[i, j] b(., j)."""
+        return LinearRegimeDrift(weights @ self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -48,16 +49,16 @@ class SaturatingRegimeDrift:
         object.__setattr__(self, "gains", np.asarray(self.gains, dtype=float))
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=float))
 
-    def __call__(self, x: np.ndarray, regime: int) -> np.ndarray:
+    def __call__(self, x: np.ndarray, regime: int = 0) -> np.ndarray:
         return self.gains[regime] * np.tanh(x) + self.offsets[regime]
 
     @property
     def n_regimes(self) -> int:
         return self.gains.size
 
-    @property
-    def lipschitz(self) -> np.ndarray:
-        return np.abs(self.gains)
+    def averaged(self, weights) -> SaturatingRegimeDrift:
+        """Regime i of the result is sum_j weights[i, j] b(., j)."""
+        return SaturatingRegimeDrift(weights @ self.gains, weights @ self.offsets)
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,10 @@ class SaturatingCoupledDrift:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.gain_x * np.tanh(x) + self.gain_y * np.tanh(y) + self.offset
 
+    def frozen(self, x: np.ndarray) -> SaturatingRegimeDrift:
+        """y -> g(x, y) for the fixed ``x``."""
+        return SaturatingRegimeDrift([self.gain_y], [self.gain_x * np.tanh(x) + self.offset])
+
     @property
     def grad_y_bound(self) -> float:
         return abs(self.gain_y)
@@ -88,5 +93,9 @@ class SaturatingCoupledDrift:
 class ZeroCoupledDrift:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.zeros(np.broadcast(x, y).shape)
+
+    def frozen(self, x: np.ndarray) -> SaturatingRegimeDrift:
+        """y -> 0 for any ``x``."""
+        return SaturatingRegimeDrift([0.0], [0.0])
 
     grad_y_bound = 0.0

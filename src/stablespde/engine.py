@@ -194,10 +194,9 @@ def solve_frozen_fast(
 ) -> TrajectoryRecord:
     """Fast field with the slow variable frozen at ``z`` (no time-scale factor)."""
     _check_ergodic(fast_drift, op_b)
-    z = np.asarray(z, dtype=float)
     grid, _ = _check_grid(grid)
     noise = draw_noise(beta, rng.substream(Z_NOISE_TAG), grid.size - 1, op_b.k_trunc)
-    return _mild_solve(y0, lambda y: fast_drift(z, y), op_b, w_z, beta, grid, noise)
+    return _mild_solve(y0, fast_drift.frozen(z), op_b, w_z, beta, grid, noise)
 
 
 def solve_fast_slow(
@@ -219,9 +218,9 @@ def solve_fast_slow(
 ) -> TrajectoryRecord:
     """Joint stepper for the fast-slow pair (slow X, fast Y at rate 1/eps).
 
-    ``slow_drift`` and ``fast_drift`` are called as f(x, y).  Row i of
-    ``noise`` drives the slow field's step i; the fast field draws its own
-    noise on ``rng.substream(Z_NOISE_TAG)``, one row per substep.  The slow
+    ``slow_drift`` is called as f(x, y), ``fast_drift.frozen(x)`` as y -> f(x, y).
+    Row i of ``noise`` drives the slow field's step i; the fast field draws its
+    own noise on ``rng.substream(Z_NOISE_TAG)``, one row per substep.  The slow
     field advances once per grid step with both arguments frozen at the step's
     left endpoint; the fast field takes ``fast_substeps(dt, eps, c_sub)``
     substeps per step, so the O(1/eps) drift stays resolved.  Its plan is the
@@ -250,9 +249,9 @@ def solve_fast_slow(
     out_y = np.empty((grid.size, y.size))
     out_x[0], out_y[0] = x, y
     for i in range(grid.size - 1):
-        x_left = x
-        x = slow_plan.decay * x + slow_drift(x_left, y) * slow_plan.drift_factor + kicks_x[i]
+        fast_frozen = fast_drift.frozen(x)
+        x = slow_plan.decay * x + slow_drift(x, y) * slow_plan.drift_factor + kicks_x[i]
         for kick in kicks_y[i]:
-            y = fast_plan.decay * y + fast_drift(x_left, y) / eps * fast_plan.drift_factor + kick
+            y = fast_plan.decay * y + fast_frozen(y) / eps * fast_plan.drift_factor + kick
         out_x[i + 1], out_y[i + 1] = x, y
     return TrajectoryRecord(grid, out_x, fast_states=out_y)

@@ -19,13 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import (
+    class_average_drift,
     estimate_ergodic_drift,
     ergodic_decay_probe,
     fit_decay_rate,
-    make_class_averaged,
-    make_nu_averaged,
+    nu_average_drift,
 )
 from .config import ConfigError, ExperimentConfig
+from .drifts import SaturatingRegimeDrift
 from .engine import draw_noise, solve_averaged_spde, solve_fast_slow, solve_switching_spde
 from .rng import CHAIN_TAG, L_NOISE_TAG, RngStream
 from .rng import DECAY_PROBE_STREAM, ESTIMATOR_STREAM, Y0_PAIR_STREAMS
@@ -192,7 +193,7 @@ def averaged_fast_slow_drift(cfg: ExperimentConfig, rng: RngStream):
     The fast drift does not depend on the slow state, so the frozen invariant
     measure is a single law pi and the averaged drift separates into
     gain_x tanh(z) + gain_y * m + offset with m = int tanh(u) pi(du), which is
-    estimated once.  Returns (callable, m, se(m)).
+    estimated once.  Returns (drift, m, se(m)); the drift maps state to state.
     """
     m, se = estimate_ergodic_drift(
         np.zeros(cfg.k_trunc),
@@ -205,11 +206,7 @@ def averaged_fast_slow_drift(cfg: ExperimentConfig, rng: RngStream):
         rng,
     )
     slow = cfg.slow_coupled_drift()
-
-    def averaged(x):
-        return slow.gain_x * np.tanh(x) + slow.gain_y * m + slow.offset
-
-    return averaged, m, se
+    return SaturatingRegimeDrift([slow.gain_x], [slow.gain_y * m + slow.offset]), m, se
 
 
 def _slow_noise(cfg: ExperimentConfig, stream: RngStream, grid: np.ndarray) -> np.ndarray:
@@ -243,7 +240,7 @@ def _averaged_system(cfg: ExperimentConfig, grid: np.ndarray):
     if cfg.scenario == "switching-multiclass":
         part = cfg.class_partition()
         mu_blocks = [stationary_distribution(b) for b in cfg.qtilde_blocks()]
-        class_drift = make_class_averaged(cfg.regime_drift(), part, mu_blocks)
+        class_drift = class_average_drift(cfg.regime_drift(), part, mu_blocks)
         # the averaged equation rides the aggregated chain of the same path:
         # a concrete coupling of the limit chain, as the class process of the
         # eps-chain converges weakly to it
@@ -252,7 +249,7 @@ def _averaged_system(cfg: ExperimentConfig, grid: np.ndarray):
         )
     if cfg.scenario == "switching-single":
         nu = stationary_distribution(cfg.generator_pair()[0])
-        averaged = make_nu_averaged(cfg.regime_drift(), nu)
+        averaged = nu_average_drift(cfg.regime_drift(), nu)
     else:
         averaged, _, _ = averaged_fast_slow_drift(cfg, RngStream(cfg.seed, ESTIMATOR_STREAM))
     return lambda rec, noise: solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, noise)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablespde.averaging import (
     ErgodicEstimatorConfig,
@@ -7,11 +9,14 @@ from stablespde.averaging import (
     ergodic_decay_probe,
     estimate_ergodic_drift,
     fit_decay_rate,
-    make_class_averaged,
-    make_nu_averaged,
     nu_average_drift,
 )
-from stablespde.drifts import LinearRegimeDrift, SaturatingCoupledDrift, ZeroCoupledDrift
+from stablespde.drifts import (
+    LinearRegimeDrift,
+    SaturatingCoupledDrift,
+    SaturatingRegimeDrift,
+    ZeroCoupledDrift,
+)
 from stablespde.rng import RngStream
 from stablespde.spectral import SpectralOperator
 from stablespde.stable_noise import NoiseWeights
@@ -24,34 +29,36 @@ W1 = NoiseWeights(np.array([1.0]))
 def test_nu_average_point_mass():
     drift = LinearRegimeDrift(np.array([2.0, -5.0]))
     x = np.array([1.0, 3.0])
-    assert np.allclose(nu_average_drift(drift, [1.0, 0.0], x), 2.0 * x)
-    assert np.allclose(nu_average_drift(drift, [0.0, 1.0], x), -5.0 * x)
+    assert np.allclose(nu_average_drift(drift, [1.0, 0.0])(x), 2.0 * x)
+    assert np.allclose(nu_average_drift(drift, [0.0, 1.0])(x), -5.0 * x)
 
 
 def test_nu_average_hand_value():
     # c = (1, 3) under nu = (1/3, 2/3): averaged coefficient 7/3
     drift = LinearRegimeDrift(np.array([1.0, 3.0]))
-    avg = make_nu_averaged(drift, np.array([1 / 3, 2 / 3]))
+    avg = nu_average_drift(drift, np.array([1 / 3, 2 / 3]))
+    assert isinstance(avg, LinearRegimeDrift)
+    assert avg.n_regimes == 1
     x = np.array([0.5, -2.0])
     assert np.allclose(avg(x), 7.0 / 3.0 * x, atol=1e-14)
 
 
 def test_nu_average_antisymmetric_cancels():
     drift = LinearRegimeDrift(np.array([1.0, -1.0]))
-    assert np.allclose(nu_average_drift(drift, [0.5, 0.5], np.ones(3)), 0.0, atol=1e-15)
+    assert np.allclose(nu_average_drift(drift, [0.5, 0.5])(np.ones(3)), 0.0, atol=1e-15)
 
 
 def test_nu_average_rejects_length_mismatch():
     drift = LinearRegimeDrift(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        nu_average_drift(drift, [1.0], np.ones(2))
+    with pytest.raises(ValueError, match="regime count"):
+        nu_average_drift(drift, [1.0])
 
 
 def test_class_average_singleton_classes():
     drift = LinearRegimeDrift(np.array([2.0, 7.0]))
     part = ClassPartition(((0,), (1,)))
     x = np.ones(2)
-    assert np.allclose(class_average_drift(drift, part, [np.array([1.0])] * 2, x, 1), 7.0 * x)
+    assert np.allclose(class_average_drift(drift, part, [np.array([1.0])] * 2)(x, 1), 7.0 * x)
 
 
 def test_class_average_hand_value():
@@ -59,9 +66,68 @@ def test_class_average_hand_value():
     drift = LinearRegimeDrift(np.array([9.0, 9.0, 2.0, 4.0]))
     part = ClassPartition(((0, 1), (2, 3)))
     blocks = [np.array([0.5, 0.5]), np.array([0.25, 0.75])]
-    avg = make_class_averaged(drift, part, blocks)
+    avg = class_average_drift(drift, part, blocks)
+    assert isinstance(avg, LinearRegimeDrift)
+    assert avg.n_regimes == 2
     x = np.array([1.0, -1.0])
     assert np.allclose(avg(x, 1), 3.5 * x, atol=1e-14)
+
+
+def test_class_average_rejects_length_mismatch():
+    drift = LinearRegimeDrift(np.array([9.0, 9.0, 2.0, 4.0]))
+    part = ClassPartition(((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="class size"):
+        class_average_drift(drift, part, [np.array([0.5, 0.5]), np.array([1.0])])
+
+
+def _per_regime_sum(drift, weights, x, i):
+    """Regime i of the weighted drift as the plain sum sum_j w_ij b(x, j)."""
+    return sum(weights[i, j] * drift(x, j) for j in range(drift.n_regimes))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(["linear", "saturating (n,)", "saturating (n, k)"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_averaged_matches_per_regime_sum(seed, n_regimes, m, family):
+    rng = np.random.default_rng(seed)
+    k = 4
+    if family == "linear":
+        drift = LinearRegimeDrift(rng.normal(size=n_regimes))
+    else:
+        shape = (n_regimes,) if family == "saturating (n,)" else (n_regimes, k)
+        drift = SaturatingRegimeDrift(rng.normal(size=n_regimes), rng.normal(size=shape))
+    weights = rng.random((m, n_regimes))
+    weights /= weights.sum(axis=1, keepdims=True)
+    avg = drift.averaged(weights)
+    assert type(avg) is type(drift)
+    assert avg.n_regimes == m
+    x = rng.normal(scale=3.0, size=k)
+    for i in range(m):
+        ref = _per_regime_sum(drift, weights, x, i)
+        # the weighted terms may cancel, so the tolerance scales with their size
+        scale = sum(weights[i, j] * np.abs(drift(x, j)) for j in range(n_regimes))
+        np.testing.assert_allclose(avg(x, i), ref, rtol=1e-13, atol=1e-13 * scale.max())
+
+
+@pytest.mark.parametrize("coupled", [SaturatingCoupledDrift(0.0, 0.5), ZeroCoupledDrift()])
+def test_frozen_drift_is_coupled_drift_at_fixed_x(coupled):
+    rng = np.random.default_rng(7)
+    x = rng.normal(scale=2.0, size=5)
+    frozen = coupled.frozen(x)
+    assert isinstance(frozen, SaturatingRegimeDrift)
+    for y in (rng.normal(scale=2.0, size=5), np.zeros(5), -np.ones(5)):
+        assert frozen(y).tobytes() == coupled(x, y).tobytes()
+
+
+def test_frozen_saturating_drift_hand_value():
+    # g(x, y) = 0.3 tanh(x) + 0.5 tanh(y) + 0.2
+    x, y = np.array([0.4, -1.0]), np.array([2.0, -0.5])
+    frozen = SaturatingCoupledDrift(0.3, 0.5, 0.2).frozen(x)
+    assert np.allclose(frozen(y), 0.3 * np.tanh(x) + 0.5 * np.tanh(y) + 0.2, rtol=1e-15)
 
 
 def test_estimator_config_defaults_from_mixing_rate():

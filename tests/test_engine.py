@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablespde.averaging import make_class_averaged
+from stablespde.averaging import class_average_drift, nu_average_drift
 from stablespde.config import load_config
 
 from stablespde.drifts import (
@@ -115,7 +115,8 @@ def test_constant_chain_equals_point_mass_average():
     x0 = np.array([1.0, 0.5, 0.25])
     noise = slow_noise(RngStream(5, 3), grid)
     rec_sw = solve_switching_spde(x0, drift, OP3, W3, 1.5, constant_chain(1, 1.0), grid, noise)
-    rec_av = solve_averaged_spde(x0, lambda x: drift(x, 1), OP3, W3, 1.5, grid, noise)
+    point_mass = nu_average_drift(drift, [0.0, 1.0])
+    rec_av = solve_averaged_spde(x0, point_mass, OP3, W3, 1.5, grid, noise)
     assert np.array_equal(rec_sw.states, rec_av.states)
 
 
@@ -426,7 +427,7 @@ def test_class_chain_solve_matches_per_step_lookups():
     qt, qh = cfg.generator_pair()
     part = cfg.class_partition()
     mu_blocks = [stationary_distribution(b) for b in cfg.qtilde_blocks()]
-    class_drift = make_class_averaged(cfg.regime_drift(), part, mu_blocks)
+    class_drift = class_average_drift(cfg.regime_drift(), part, mu_blocks)
     grid = np.linspace(0.0, cfg.T, round(cfg.T / cfg.dt) + 1)
     args = (cfg.initial_state(), class_drift, cfg.op_a(), cfg.weights_l(), cfg.alpha)
     class_jumps = 0

@@ -36,7 +36,7 @@ GOLDEN = {
     },
     ("converge", "switching_single.cfg"): {
         "converge.csv": "163ec1ba74c81af65adfb5ae7e7e6e1ae5dd4b95825b492b443dd77229154ede",
-        "summary.json": "ce9557b62e4c14963eba4def1f76d0468b6e42c91c6c833269f93bd4ba1498c5",
+        "summary.json": "d3f5037b3bb3b0a6ac5c957907d5abd508255ba2bcb20fe50c6b18b4f8e50e9d",
     },
     ("check", "switching_multiclass.cfg"): {
         "summary.json": "8b0f65b0334b8e6bb3859f0946777d3850c8978a882570c80aef30f04493b3e2",
@@ -46,8 +46,8 @@ GOLDEN = {
         "summary.json": "8b0f65b0334b8e6bb3859f0946777d3850c8978a882570c80aef30f04493b3e2",
     },
     ("converge", "switching_multiclass.cfg"): {
-        "converge.csv": "759d369de2d1e0dbe0ba36727eb7422a7a70cf2e6ed9224447ab097118b3bb81",
-        "summary.json": "361d7631730e091727e752772142ecbb3dadc3ea9189c80cce8ebfb1af0b3536",
+        "converge.csv": "36f3b7d3fca77426a8fac73315c79260945f72f3114f1440aa9c6b801c5c905d",
+        "summary.json": "1770a35613beca17ca790cdc8aaadc2d57a4f0d50fc90a61587c7baa7cecf632",
     },
     ("check", "fast_slow.cfg"): {
         "summary.json": "3b28012062670ba79c1393b82357a0d6d74b6a4bd872f27cb95b648832b141fe",
