@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import Z_NOISE_TAG, RngStream
 from .spectral import FieldState, SpectralOperator
 from .stable_noise import NoiseWeights
 from .switching import ClassPartition
-from .engine import solve_frozen_fast
+from .engine import draw_noise, solve_frozen_fast
 
 _N_BATCHES = 10  # batch means per replication in the estimator's standard error
 
@@ -59,8 +59,8 @@ class ErgodicEstimatorConfig:
             raise ValueError("mixing rate must be positive")
         burn = self.burn_in if self.burn_in is not None else 3.0 / mixing_rate
         horizon = self.horizon if self.horizon is not None else 30.0 / mixing_rate
-        if horizon <= burn:
-            raise ValueError("averaging horizon must exceed the burn-in")
+        if (horizon - burn) / self.dt < _N_BATCHES:  # else a batch of the SE is empty
+            raise ValueError(f"averaging horizon must exceed the burn-in by {_N_BATCHES} dt steps")
         return burn, horizon
 
 
@@ -93,7 +93,8 @@ def estimate_ergodic_drift(
 
     rep_means, batch_vars = [], []
     for rep in range(config.n_reps):
-        rec = solve_frozen_fast(z, y0, fast_drift, op_b, w_z, beta, grid, rng.substream(rep))
+        noise = draw_noise(beta, rng.substream(rep).substream(Z_NOISE_TAG), n_steps, op_b.k_trunc)
+        rec = solve_frozen_fast(z, y0, fast_drift, op_b, w_z, beta, grid, noise)
         states = rec.states[keep]
         values = np.broadcast_to(observable(z, states), states.shape)
         rep_means.append(values.mean(axis=0))
@@ -129,7 +130,9 @@ def ergodic_decay_probe(
     z = np.asarray(z, dtype=float)
     acc = np.zeros((t_grid.size, op_b.k_trunc))
     for j in range(n_paths):
-        rec = solve_frozen_fast(z, y, fast_drift, op_b, w_z, beta, t_grid, rng.substream(j))
+        stream = rng.substream(j).substream(Z_NOISE_TAG)
+        noise = draw_noise(beta, stream, t_grid.size - 1, op_b.k_trunc)
+        rec = solve_frozen_fast(z, y, fast_drift, op_b, w_z, beta, t_grid, noise)
         acc += np.broadcast_to(observable(z, rec.states), rec.states.shape)
     mean_obs = acc / n_paths
     return np.linalg.norm(mean_obs - bbar, axis=1)

@@ -22,7 +22,6 @@ from .drifts import (
     SaturatingCoupledDrift,
     SaturatingRegimeDrift,
 )
-from .engine import fast_substeps
 from .spectral import SpectralOperator
 from .stable_noise import NoiseWeights, PowerLawRule
 from .switching import ClassPartition, GeneratorMatrix
@@ -235,6 +234,16 @@ class ExperimentConfig:
 
     def estimator_config(self) -> ErgodicEstimatorConfig:
         return ErgodicEstimatorConfig(self.est_dt, self.est_burn_in, self.est_horizon, self.est_reps)
+
+
+def fast_substeps(dt: float, eps: float, c_sub: float) -> int:
+    """Fast substeps per step of dt: ceil(dt / (c_sub eps)), at least 1; a quotient
+    within 1e-9 relative of a whole number counts as that number, not as its ceiling."""
+    ratio = dt / c_sub / eps
+    if not np.isfinite(ratio):
+        raise ValueError(f"fast substep count dt / (c_sub eps) = {ratio} is not finite")
+    whole = round(ratio)
+    return max(1, whole if abs(whole - ratio) <= 1e-9 * ratio else int(np.ceil(ratio)))
 
 
 def _bound(what: str, size: float) -> None:

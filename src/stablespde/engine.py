@@ -8,8 +8,9 @@ uniform time grid, so its per-mode factors form one :class:`MildStepPlan`
 built once.  Chain jumps inside a step are resolved by sub-stepping the drift
 at the exact jump times; the noise term needs no refinement.  The fast field
 of a fast-slow pair steps through the same plan form, for the operator and
-noise rescaled by its time scale.  The noise substream tags and the stream
-contract are defined in :mod:`.rng`.
+noise rescaled by its time scale.  Every solve steps on noise arrays its caller
+drew with :func:`draw_noise`; the substream tags and the stream contract are
+defined in :mod:`.rng`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Z_NOISE_TAG, RngStream
+from .rng import RngStream
 from .spectral import FieldState, SpectralOperator
 from .stable_noise import NoiseWeights, convolution_scale, sample_standard_stable
 from .switching import ChainPath
@@ -64,19 +65,9 @@ class TrajectoryRecord:
     fast_states: np.ndarray | None = None
 
 
-def fast_substeps(dt: float, eps: float, c_sub: float) -> int:
-    """ceil(dt / (c_sub eps)), at least 1; a quotient within 1e-9 relative of a
-    whole number counts as that number, not as its ceiling."""
-    ratio = dt / c_sub / eps
-    if not np.isfinite(ratio):
-        raise ValueError(f"fast substep count dt / (c_sub eps) = {ratio} is not finite")
-    whole = round(ratio)
-    return max(1, whole if abs(whole - ratio) <= 1e-9 * ratio else int(np.ceil(ratio)))
-
-
-def _check_noise(noise, n_steps: int, k: int) -> None:
-    if np.shape(noise) != (n_steps, k):
-        raise ValueError(f"noise must have shape ({n_steps}, {k}), got {np.shape(noise)}")
+def _check_noise(noise, shape: tuple) -> None:
+    if np.shape(noise) != shape:
+        raise ValueError(f"noise must have shape {shape}, got {np.shape(noise)}")
 
 
 def _check_ergodic(fast_drift, op_b: SpectralOperator) -> None:
@@ -95,9 +86,9 @@ def _check_grid(grid) -> tuple[np.ndarray, float]:
     return grid, dt
 
 
-def draw_noise(alpha: float, stream: RngStream, n_steps: int, k: int) -> np.ndarray:
-    """(n_steps, k) standard stable variates: one flat draw on ``stream`` (see :mod:`.rng`)."""
-    return sample_standard_stable(alpha, stream, size=(n_steps, k))
+def draw_noise(alpha: float, stream: RngStream, *shape: int) -> np.ndarray:
+    """Standard stable variates of ``shape``: one flat draw on ``stream`` (see :mod:`.rng`)."""
+    return sample_standard_stable(alpha, stream, size=shape)
 
 
 def _mild_solve(
@@ -124,7 +115,7 @@ def _mild_solve(
     x = np.asarray(x0, dtype=float).copy()
     if x.size != op.k_trunc:
         raise ValueError("initial state length must match the truncation level")
-    _check_noise(noise, grid.size - 1, x.size)
+    _check_noise(noise, (grid.size - 1, x.size))
     out = np.empty((grid.size, x.size))
     out[0] = x
     plan = make_step_plan(op, weights, alpha, dt)
@@ -190,12 +181,10 @@ def solve_frozen_fast(
     w_z: NoiseWeights,
     beta: float,
     grid,
-    rng: RngStream,
+    noise: np.ndarray,
 ) -> TrajectoryRecord:
     """Fast field with the slow variable frozen at ``z`` (no time-scale factor)."""
     _check_ergodic(fast_drift, op_b)
-    grid, _ = _check_grid(grid)
-    noise = draw_noise(beta, rng.substream(Z_NOISE_TAG), grid.size - 1, op_b.k_trunc)
     return _mild_solve(y0, fast_drift.frozen(z), op_b, w_z, beta, grid, noise)
 
 
@@ -213,25 +202,28 @@ def solve_fast_slow(
     eps: float,
     grid,
     noise: np.ndarray,
-    rng: RngStream,
-    c_sub: float = 0.5,
+    noise_z: np.ndarray,
 ) -> TrajectoryRecord:
     """Joint stepper for the fast-slow pair (slow X, fast Y at rate 1/eps).
 
     ``slow_drift`` is called as f(x, y), ``fast_drift.frozen(x)`` as y -> f(x, y).
-    Row i of ``noise`` drives the slow field's step i; the fast field draws its
-    own noise on ``rng.substream(Z_NOISE_TAG)``, one row per substep.  The slow
-    field advances once per grid step with both arguments frozen at the step's
-    left endpoint; the fast field takes ``fast_substeps(dt, eps, c_sub)``
-    substeps per step, so the O(1/eps) drift stays resolved.  Its plan is the
-    mild step of dY = (-B Y + f) / eps dt + eps^(-1/beta) dZ: eigenvalues
-    mu_k / eps and noise weights q_k eps^(-1/beta), the drift entering as f / eps.
+    Row i of ``noise`` drives the slow field's step i, and ``noise_z[i]`` of
+    shape (n_sub, k) the fast field's n_sub substeps inside it.  The slow field
+    advances once per grid step with both arguments frozen at the step's left
+    endpoint; the caller sizes n_sub so that the O(1/eps) drift stays
+    resolved.  The fast plan is the mild step of dY = (-B Y + f) / eps dt +
+    eps^(-1/beta) dZ: eigenvalues mu_k / eps and noise weights q_k
+    eps^(-1/beta), the drift entering as f / eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     _check_ergodic(fast_drift, op_b)
     grid, dt = _check_grid(grid)
-    n_sub = fast_substeps(dt, eps, c_sub)
+    x = np.asarray(x0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).copy()
+    _check_noise(noise, (grid.size - 1, x.size))
+    n_sub = max(1, *np.shape(noise_z)[1:2])  # so that zero substeps fail the shape check
+    _check_noise(noise_z, (grid.size - 1, n_sub, y.size))
     slow_plan = make_step_plan(op_a, w_l, alpha, dt)
     fast_plan = make_step_plan(
         SpectralOperator(op_b.eigenvalues / eps),
@@ -239,12 +231,8 @@ def solve_fast_slow(
         beta,
         dt / n_sub,
     )
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
-    _check_noise(noise, grid.size - 1, x.size)
-    noise_z = draw_noise(beta, rng.substream(Z_NOISE_TAG), (grid.size - 1) * n_sub, y.size)
     kicks_x = slow_plan.conv_scale * noise
-    kicks_y = (fast_plan.conv_scale * noise_z).reshape(grid.size - 1, n_sub, y.size)
+    kicks_y = fast_plan.conv_scale * noise_z
     out_x = np.empty((grid.size, x.size))
     out_y = np.empty((grid.size, y.size))
     out_x[0], out_y[0] = x, y

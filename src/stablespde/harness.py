@@ -4,9 +4,10 @@ Coupling convention: path j draws its slow noise once, on
 ``RngStream(seed, j).substream(L_NOISE_TAG)`` under the stream contract of
 :mod:`.rng`, and both members of every pair (the eps-system and its averaged
 limit) step on that one array, so their difference isolates the drift
-discrepancy.  The same noise drives the path at every eps of the grid (common
-random numbers), which makes the error columns strongly positively correlated
-and the monotone decrease visible at desk scale.
+discrepancy; a fast-slow eps-system draws its fast noise per (path, eps) on the
+path's ``Z_NOISE_TAG`` substream.  The same slow noise drives the path at every
+eps (common random numbers), which makes the error columns strongly positively
+correlated and the monotone decrease visible at desk scale.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .averaging import (
     fit_decay_rate,
     nu_average_drift,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, fast_substeps
 from .drifts import SaturatingRegimeDrift
 from .engine import draw_noise, solve_averaged_spde, solve_fast_slow, solve_switching_spde
-from .rng import CHAIN_TAG, L_NOISE_TAG, RngStream
+from .rng import CHAIN_TAG, L_NOISE_TAG, Z_NOISE_TAG, RngStream
 from .rng import DECAY_PROBE_STREAM, ESTIMATOR_STREAM, Y0_PAIR_STREAMS
 from .spectral import admissibility
 from .switching import (
@@ -184,7 +185,8 @@ def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _checkpoint_idx(grid: np.ndarray, n_checkpoints: int) -> np.ndarray:
-    return np.unique(np.linspace(1, grid.size - 1, n_checkpoints).astype(int))
+    idx = np.linspace(1, grid.size - 1, n_checkpoints).astype(int)
+    return np.unique(np.append(idx[:-1], grid.size - 1))  # the last checkpoint is T
 
 
 def averaged_fast_slow_drift(cfg: ExperimentConfig, rng: RngStream):
@@ -219,11 +221,15 @@ def _eps_system(cfg: ExperimentConfig, grid: np.ndarray):
     op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
     if cfg.scenario == "fast-slow":
         y0, op_b, w_z = cfg.initial_fast_state(), cfg.op_b(), cfg.weights_z()
-        slow, fast = cfg.slow_coupled_drift(), cfg.fast_coupled_drift()
-        return lambda eps, stream, noise: solve_fast_slow(
-            x0, y0, slow, fast, op_a, op_b, w_l, w_z, cfg.alpha, cfg.beta, eps, grid, noise,
-            stream, c_sub=cfg.c_sub,
-        )
+        slow, fast, n = cfg.slow_coupled_drift(), cfg.fast_coupled_drift(), grid.size - 1
+
+        def solve(eps, stream, noise):
+            shape = (n, fast_substeps(cfg.T / n, eps, cfg.c_sub), cfg.k_trunc)
+            noise_z = draw_noise(cfg.beta, stream.substream(Z_NOISE_TAG), *shape)
+            return solve_fast_slow(x0, y0, slow, fast, op_a, op_b, w_l, w_z, cfg.alpha, cfg.beta,
+                                   eps, grid, noise, noise_z)
+
+        return solve
     qt, qh = cfg.generator_pair()
     drift = cfg.regime_drift()
 

@@ -168,7 +168,7 @@ def test_size_gate_counts_the_fast_substeps_the_solve_takes():
     # a gate that takes the ceiling of 7.000000000000001 counts 1.08e7 and refuses
     extra = (
         "T = 0.21\ndt = 0.07\neps_grid = [0.02]\nc_sub = 0.5\nk_trunc = 450000\n"
-        "est_burn_in = 0.0\nest_horizon = 0.05\n"
+        "est_burn_in = 0.0\nest_horizon = 0.5\n"
     )
     cfg = parse_config((CONFIG_DIR / "fast_slow.cfg").read_text() + extra)
     assert cfg.k_trunc == 450000

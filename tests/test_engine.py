@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stablespde.averaging import class_average_drift, nu_average_drift
-from stablespde.config import load_config
+from stablespde.config import fast_substeps, load_config
 
 from stablespde.drifts import (
     LinearRegimeDrift,
@@ -16,14 +16,13 @@ from stablespde.drifts import (
 from stablespde.engine import (
     draw_noise,
     drift_factor,
-    fast_substeps,
     make_step_plan,
     solve_averaged_spde,
     solve_fast_slow,
     solve_frozen_fast,
     solve_switching_spde,
 )
-from stablespde.rng import CHAIN_TAG, L_NOISE_TAG, RngStream
+from stablespde.rng import CHAIN_TAG, L_NOISE_TAG, Z_NOISE_TAG, RngStream
 from stablespde.spectral import SpectralOperator, rod_operator
 from stablespde.stable_noise import (
     NoiseWeights,
@@ -48,6 +47,11 @@ W3 = NoiseWeights.from_rule(PowerLawRule(1.0, -2.0), 3)
 def slow_noise(rng, grid, k=3, alpha=1.5):
     """The slow noise of the path on ``rng``: one row per grid step."""
     return draw_noise(alpha, rng.substream(L_NOISE_TAG), len(grid) - 1, k)
+
+
+def fast_noise(rng, grid, n_sub=1, k=3, beta=1.5):
+    """The fast noise of the path on ``rng``: n_sub rows per grid step."""
+    return draw_noise(beta, rng.substream(Z_NOISE_TAG), len(grid) - 1, n_sub, k)
 
 
 def constant_chain(state: int, horizon: float) -> ChainPath:
@@ -202,7 +206,8 @@ def test_fast_slow_requires_contractive_fast_drift():
     with pytest.raises(ValueError):
         solve_fast_slow(
             np.zeros(2), np.zeros(2), ZeroCoupledDrift(), bad, op, op, w, w,
-            1.5, 1.5, 0.1, grid, slow_noise(RngStream(0), grid, k=2), RngStream(0),
+            1.5, 1.5, 0.1, grid, slow_noise(RngStream(0), grid, k=2),
+            fast_noise(RngStream(0), grid, k=2),
         )
 
 
@@ -219,7 +224,8 @@ def test_fast_slow_stationary_mode_scale():
             solve_fast_slow(
                 np.zeros(2), np.zeros(2), ZeroCoupledDrift(), ZeroCoupledDrift(),
                 op, op, w, w, 1.5, beta, eps, grid,
-                slow_noise(RngStream(10, j), grid, k=2), RngStream(10, j),
+                slow_noise(RngStream(10, j), grid, k=2),
+                fast_noise(RngStream(10, j), grid, fast_substeps(0.05, eps, 0.5), k=2),
             ).fast_states[-1]
             for j in range(20_000)
         ]
@@ -244,22 +250,21 @@ def _reference_fast_slow_gap(dt, n, eps, c_sub, n_sub):
     fast = SaturatingCoupledDrift(0.2, 0.4, 0.0)
     grid = np.linspace(0.0, dt * n, n + 1)
     rng = RngStream(11, 5)
+    noise = slow_noise(rng, grid, k, alpha)
+    noise_z = fast_noise(rng, grid, fast_substeps(grid[-1] / n, eps, c_sub), k, beta)
     rec = solve_fast_slow(
         np.ones(k), 0.5 * np.ones(k), slow, fast, op_a, op_b, w_l, w_z,
-        alpha, beta, eps, grid, slow_noise(rng, grid, k, alpha), rng, c_sub=c_sub,
+        alpha, beta, eps, grid, noise, noise_z,
     )
 
-    gen_l = rng.substream(0).generator()
-    gen_z = rng.substream(2).generator()
     lam, mu = op_a.eigenvalues, op_b.eigenvalues / eps
     q = w_z.weights * eps ** (-1 / beta)
     h = dt / n_sub
-    # each noise source is one flat draw; step i takes its next k values
-    xi_flat = sample_standard_stable(alpha, gen_l, size=n * k)
-    zeta_flat = sample_standard_stable(beta, gen_z, size=n * n_sub * k)
+    # step i takes row i of the slow noise and substep j the next k fast values
+    zeta_flat = noise_z.reshape(-1)
     x, y = np.ones(k), 0.5 * np.ones(k)
     for i in range(n):
-        xi = xi_flat[i * k : (i + 1) * k]
+        xi = noise[i]
         bx = slow(x, y)
         x_new = (
             np.exp(-lam * dt) * x
@@ -323,7 +328,8 @@ def test_frozen_fast_is_ou_field_without_drift():
     term = np.array(
         [
             solve_frozen_fast(
-                np.zeros(1), np.zeros(1), ZeroCoupledDrift(), op, w, 2.0, grid, RngStream(12, j)
+                np.zeros(1), np.zeros(1), ZeroCoupledDrift(), op, w, 2.0, grid,
+                draw_noise(2.0, RngStream(12, j).substream(Z_NOISE_TAG), len(grid) - 1, 1),
             ).states[-1, 0]
             for j in range(20_000)
         ]
@@ -338,9 +344,9 @@ def test_frozen_fast_pathwise_contraction():
     w = NoiseWeights(np.array([1.0]))
     fast = SaturatingCoupledDrift(0.0, 0.5)  # K3 = 0.5, mu_1 = 1
     grid = np.linspace(0.0, 6.0, 121)
-    rng = RngStream(13, 0)
-    a = solve_frozen_fast(np.zeros(1), np.array([4.0]), fast, op, w, 1.5, grid, rng)
-    b = solve_frozen_fast(np.zeros(1), np.array([-4.0]), fast, op, w, 1.5, grid, rng)
+    noise = draw_noise(1.5, RngStream(13, 0).substream(Z_NOISE_TAG), len(grid) - 1, 1)
+    a = solve_frozen_fast(np.zeros(1), np.array([4.0]), fast, op, w, 1.5, grid, noise)
+    b = solve_frozen_fast(np.zeros(1), np.array([-4.0]), fast, op, w, 1.5, grid, noise)
     gap = np.linalg.norm(a.states - b.states, axis=1)
     slope = np.polyfit(grid, np.log(gap), 1)[0]
     assert slope <= -(1.0 - 0.5) + 0.1
@@ -450,8 +456,14 @@ def test_noise_of_the_wrong_shape_rejected():
         solve_averaged_spde(np.zeros(3), drift, OP3, W3, 1.5, grid, np.zeros((4, 3)))
     with pytest.raises(ValueError, match="noise must have shape"):
         solve_averaged_spde(np.zeros(3), drift, OP3, W3, 1.5, grid, np.zeros((5, 2)))
-    with pytest.raises(ValueError, match="noise must have shape"):
-        solve_fast_slow(
-            np.zeros(3), np.zeros(3), ZeroCoupledDrift(), ZeroCoupledDrift(), OP3, OP3, W3, W3,
-            1.5, 1.5, 0.1, grid, np.zeros((6, 3)), RngStream(0),
-        )
+    pair = (np.zeros(3), np.zeros(3), ZeroCoupledDrift(), ZeroCoupledDrift(), OP3, OP3, W3, W3)
+    for noise, noise_z in [
+        (np.zeros((6, 3)), np.zeros((5, 2, 3))),  # one slow row too many
+        (np.zeros((5, 3)), np.zeros((5, 3))),  # fast noise without a substep axis
+        (np.zeros((5, 3)), np.zeros((5, 2, 2))),  # fast noise of the wrong k
+        (np.zeros((5, 3)), np.zeros((5, 0, 3))),  # zero substeps
+    ]:
+        with pytest.raises(ValueError, match="noise must have shape"):
+            solve_fast_slow(*pair, 1.5, 1.5, 0.1, grid, noise, noise_z)
+    rec = solve_fast_slow(*pair, 1.5, 1.5, 0.1, grid, np.zeros((5, 3)), np.zeros((5, 2, 3)))
+    assert rec.fast_states.shape == (6, 3)

@@ -190,6 +190,16 @@ def test_converge_switching_table_shape_and_determinism():
     assert fit is not None
 
 
+def test_converge_terminal_error_does_not_depend_on_checkpoints():
+    # the error-at-T column is read at the last checkpoint, which is T for any count
+    tables = []
+    for n in (1, 10):
+        cfg = parse_config(SMALL_SWITCHING + f"checkpoints = {n}\n")
+        tables.append(run_converge(cfg)[1])
+    assert np.array_equal(tables[0].errors, tables[1].errors)
+    assert np.array_equal(tables[0].ses, tables[1].ses)
+
+
 def test_converge_fast_slow_runs():
     cfg = parse_config(SMALL_FAST_SLOW)
     _, table, _, fit, _ = run_converge(cfg)
@@ -509,6 +519,9 @@ MALFORMED = [
                  "freeze", id="est_burn_in_past_horizon"),
     pytest.param("fast_slow.cfg", "est_horizon = 0.0\nest_burn_in = -1.0", [], "est_horizon",
                  "freeze", id="est_horizon_zero"),
+    # one est_dt step after the burn-in: ten empty batch means, an SE of nan and exit 0
+    pytest.param("fast_slow.cfg", "est_burn_in = 1.0\nest_horizon = 1.01", [], "est_horizon",
+                 "freeze", id="est_window_under_ten_steps"),
     # valid sizes beyond config.MAX_RUN_SIZE: each failed or never ended after passing check
     pytest.param("switching_single.cfg", "dt = 1e-300", [], "dt", "converge", id="dt_tiny"),
     pytest.param("switching_single.cfg", "T = 1e12", [], "T", "converge", id="T_huge"),
