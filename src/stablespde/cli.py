@@ -85,7 +85,8 @@ def _freeze(cfg, out):
         "freeze.csv": ("z_id,component,bbar,se", rows),
         "freeze_decay.csv": ("t,deviation", zip(map(float, t_grid), map(float, decay))),
     }
-    line = f"decay rate {stats['decay_rate']:.4f}; y0 gap {stats['y0_gap_in_combined_se']:.2f} SE"
+    rate = stats["notice"] or f"decay rate {stats['decay_rate']:.4f}"
+    line = f"{rate}; y0 gap {stats['y0_gap_in_combined_se']:.2f} SE"
     return checked, csvs, stats, [line]
 
 

@@ -65,11 +65,6 @@ class TrajectoryRecord:
     fast_states: np.ndarray | None = None
 
 
-def _check_noise(noise, shape: tuple) -> None:
-    if np.shape(noise) != shape:
-        raise ValueError(f"noise must have shape {shape}, got {np.shape(noise)}")
-
-
 def _check_ergodic(fast_drift, op_b: SpectralOperator) -> None:
     if fast_drift.grad_y_bound >= op_b.lambda_1:
         raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
@@ -91,6 +86,17 @@ def draw_noise(alpha: float, stream: RngStream, *shape: int) -> np.ndarray:
     return sample_standard_stable(alpha, stream, size=shape)
 
 
+def _setup_field(x0, op: SpectralOperator, weights: NoiseWeights, alpha, dt, noise, rows: tuple):
+    """A field's state, step plan and kicks; ``noise`` holds k variates per ``rows`` entry."""
+    x = np.asarray(x0, dtype=float).copy()
+    if x.size != op.k_trunc:
+        raise ValueError("initial state length must match the truncation level")
+    if np.shape(noise) != rows + (x.size,):
+        raise ValueError(f"noise must have shape {rows + (x.size,)}, got {np.shape(noise)}")
+    plan = make_step_plan(op, weights, alpha, dt)
+    return x, plan, plan.conv_scale * noise
+
+
 def _mild_solve(
     x0: FieldState,
     drift,
@@ -110,16 +116,11 @@ def _mild_solve(
     first jump after grid[i] and hi[i] the first at or after grid[i+1].
     """
     grid, dt = _check_grid(grid)
-    if chain is not None and grid[-1] > chain.horizon:
-        raise ValueError("time grid exceeds the chain horizon")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.size != op.k_trunc:
-        raise ValueError("initial state length must match the truncation level")
-    _check_noise(noise, (grid.size - 1, x.size))
+    if chain is not None and (grid[0] < 0 or grid[-1] > chain.horizon):
+        raise ValueError("time grid must lie inside the chain's [0, horizon]")
+    x, plan, kicks = _setup_field(x0, op, weights, alpha, dt, noise, (grid.size - 1,))
     out = np.empty((grid.size, x.size))
     out[0] = x
-    plan = make_step_plan(op, weights, alpha, dt)
-    kicks = plan.conv_scale * noise  # every step's stochastic convolution
     if chain is None:
         for i in range(grid.size - 1):
             x = plan.decay * x + drift(x) * plan.drift_factor + kicks[i]
@@ -219,22 +220,13 @@ def solve_fast_slow(
         raise ValueError("eps must be positive")
     _check_ergodic(fast_drift, op_b)
     grid, dt = _check_grid(grid)
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
-    _check_noise(noise, (grid.size - 1, x.size))
-    n_sub = max(1, *np.shape(noise_z)[1:2])  # so that zero substeps fail the shape check
-    _check_noise(noise_z, (grid.size - 1, n_sub, y.size))
-    slow_plan = make_step_plan(op_a, w_l, alpha, dt)
-    fast_plan = make_step_plan(
-        SpectralOperator(op_b.eigenvalues / eps),
-        NoiseWeights(w_z.weights * eps ** (-1.0 / beta)),
-        beta,
-        dt / n_sub,
-    )
-    kicks_x = slow_plan.conv_scale * noise
-    kicks_y = fast_plan.conv_scale * noise_z
-    out_x = np.empty((grid.size, x.size))
-    out_y = np.empty((grid.size, y.size))
+    x, slow_plan, kicks_x = _setup_field(x0, op_a, w_l, alpha, dt, noise, (grid.size - 1,))
+    n_sub = max((1, *np.shape(noise_z)[1:2]))  # so that zero substeps fail the shape check
+    fast_op = SpectralOperator(op_b.eigenvalues / eps)
+    fast_w = NoiseWeights(w_z.weights * eps ** (-1.0 / beta))
+    y, fast_plan, kicks_y = _setup_field(y0, fast_op, fast_w, beta, dt / n_sub, noise_z,
+                                         (grid.size - 1, n_sub))
+    out_x, out_y = np.empty((grid.size, x.size)), np.empty((grid.size, y.size))
     out_x[0], out_y[0] = x, y
     for i in range(grid.size - 1):
         fast_frozen = fast_drift.frozen(x)

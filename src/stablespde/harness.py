@@ -261,6 +261,16 @@ def _averaged_system(cfg: ExperimentConfig, grid: np.ndarray):
     return lambda rec, noise: solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, noise)
 
 
+def _fit_or_notice(what: str, fit, *args):
+    """(fit(*args), "") or, when the data admit no fit, (None, "<what> refused: <reason>")."""
+    try:
+        return fit(*args), ""
+    except np.linalg.LinAlgError:  # a ValueError subclass: a failed fit, not a refusal
+        raise
+    except ValueError as exc:
+        return None, f"{what} refused: {exc}"
+
+
 def run_converge(cfg: ExperimentConfig):
     """Coupled eps-sweep.
 
@@ -287,12 +297,7 @@ def run_converge(cfg: ExperimentConfig):
     table, sup_table = (ErrorTable(eps_arr, cfg.p, *m.T, cfg.n_paths) for m in moments)
 
     theo = theoretical_rate_exponent(cfg.alpha, cfg.p, cfg.theta)
-    try:
-        fit, notice = rate_fit(table, theo), ""
-    except np.linalg.LinAlgError:  # a ValueError subclass: a failed fit, not a refusal
-        raise
-    except ValueError as exc:
-        fit, notice = None, f"rate fit refused: {exc}"
+    fit, notice = _fit_or_notice("rate fit", rate_fit, table, theo)
     return checked, table, sup_table, fit, notice
 
 
@@ -322,7 +327,8 @@ def monotone_with_inversions(table: ErrorTable, se_factor: float = 2.0) -> tuple
 def run_freeze(cfg: ExperimentConfig):
     """Averaged-drift estimates over a grid of slow states, plus the decay probe.
 
-    Returns ((report, checks), rows, (t_grid, decay), stats).
+    Returns ((report, checks), rows, (t_grid, decay), stats); the stats carry
+    decay_rate None and a notice when the deviations admit no decay fit.
     """
     if cfg.scenario != "fast-slow":
         raise ConfigError(f"freeze needs scenario fast-slow, got {cfg.scenario!r}")
@@ -358,8 +364,8 @@ def run_freeze(cfg: ExperimentConfig):
         x0, y_alt * 2.0, fast, slow, op_b, w_z, cfg.beta, t_grid, 400,
         RngStream(cfg.seed, DECAY_PROBE_STREAM), bbar=est_a,
     )
-    rate = fit_decay_rate(t_grid, decay)
-    stats = {"y0_gap_in_combined_se": y0_gap_in_se, "decay_rate": rate}
+    rate, notice = _fit_or_notice("decay fit", fit_decay_rate, t_grid, decay)
+    stats = {"y0_gap_in_combined_se": y0_gap_in_se, "decay_rate": rate, "notice": notice}
     return checked, rows, (t_grid, decay), stats
 
 

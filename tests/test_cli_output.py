@@ -103,6 +103,18 @@ def test_freeze_prints_one_line(tmp_path, capsys):
     assert rc == 0
     s = _summary(out)
     assert lines == [f"decay rate {s['decay_rate']:.4f}; y0 gap {s['y0_gap_in_combined_se']:.2f} SE"]
+    assert s["notice"] == ""
+
+
+def test_freeze_prints_the_notice_when_the_decay_fit_is_refused(tmp_path, capsys):
+    # zero slow gains make the observable constant, so every probe deviation is exactly 0
+    text = _preset("fast_slow.cfg", "est_reps = 2\nslow_gain_x = 0.0\nslow_gain_y = 0.0\n")
+    rc, lines, out = _run(tmp_path, capsys, "freeze", text)
+    assert rc == 0
+    s = _summary(out)
+    assert s["decay_rate"] is None
+    assert s["notice"] == "decay fit refused: need at least two positive values to fit a decay rate"
+    assert lines == [f"{s['notice']}; y0 gap {s['y0_gap_in_combined_se']:.2f} SE"]
 
 
 def test_aggregate_prints_one_line_per_class_pair(tmp_path, capsys):

@@ -146,9 +146,17 @@ def test_switching_moment_bounded():
 def test_grid_must_stay_inside_chain_horizon():
     drift = LinearRegimeDrift(np.array([0.0]))
     grid = np.linspace(0, 1, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="chain"):
         solve_switching_spde(
             np.zeros(3), drift, OP3, W3, 1.5, constant_chain(0, 0.5), grid,
+            slow_noise(RngStream(0), grid),
+        )
+    # steps before t = 0 have no chain state; they would run in the chain's last one
+    grid = np.linspace(-0.5, 0.5, 11)
+    chain = ChainPath(np.array([0.0, 0.3]), np.array([0, 1]), 1.0)
+    with pytest.raises(ValueError, match="chain"):
+        solve_switching_spde(
+            np.zeros(3), LinearRegimeDrift(np.array([0.0, 1.0])), OP3, W3, 1.5, chain, grid,
             slow_noise(RngStream(0), grid),
         )
 
@@ -462,8 +470,18 @@ def test_noise_of_the_wrong_shape_rejected():
         (np.zeros((5, 3)), np.zeros((5, 3))),  # fast noise without a substep axis
         (np.zeros((5, 3)), np.zeros((5, 2, 2))),  # fast noise of the wrong k
         (np.zeros((5, 3)), np.zeros((5, 0, 3))),  # zero substeps
+        (np.zeros((5, 3)), np.zeros(5)),  # fast noise without a mode axis
     ]:
         with pytest.raises(ValueError, match="noise must have shape"):
             solve_fast_slow(*pair, 1.5, 1.5, 0.1, grid, noise, noise_z)
     rec = solve_fast_slow(*pair, 1.5, 1.5, 0.1, grid, np.zeros((5, 3)), np.zeros((5, 2, 3)))
     assert rec.fast_states.shape == (6, 3)
+    # initial states of the wrong length are blamed on the state, not the noise
+    grid_and_noise = (grid, np.zeros((5, 3)), np.zeros((5, 2, 3)))
+    for x0, y0 in [(np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(4))]:
+        with pytest.raises(ValueError, match="initial state length"):
+            solve_fast_slow(x0, y0, *pair[2:], 1.5, 1.5, 0.1, *grid_and_noise)
+    with pytest.raises(ValueError, match="initial state length"):
+        solve_averaged_spde(np.zeros(4), drift, OP3, W3, 1.5, grid, np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        solve_fast_slow(*pair, 1.5, 1.5, 0.0, *grid_and_noise)

@@ -63,7 +63,7 @@ GOLDEN = {
     ("freeze", "fast_slow.cfg"): {
         "freeze.csv": "d2400bebf7fc0e4e29b6f5ff3459e41f967329f7e17412880a575fd1a8e19382",
         "freeze_decay.csv": "518cfc0ff25ca14920bae4cc32899b8721381b1e94af897735355283c659ae0c",
-        "summary.json": "0102d39ec0f73f9a3cf7d2c5c1e8e11c6a9d501272662359aadb47e777c9d465",
+        "summary.json": "0062a9eeaceb8fc8a39e56f231045ce378635c8094e28ad572d41e6283e0803e",
     },
     ("check", "aggregate.cfg"): {
         "summary.json": "d515bb33fed12febcbed09a814b5bffbabc8f5692cdcdb924ca317dfdcf93b52",

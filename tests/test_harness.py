@@ -535,6 +535,12 @@ MALFORMED = [
                  id="k_trunc_huge"),
     pytest.param("switching_single.cfg", "", ["--paths", "1000000000000"], "n_paths", "converge",
                  id="paths_flag_huge"),
+    pytest.param("fast_slow.cfg", "slow_gain_x = 1e999", [], "slow_gain_x", None,
+                 id="slow_gain_x_infinite"),
+    pytest.param("switching_multiclass.cfg", "drift_offsets = [0.5, -0.5, 0.4]", [],
+                 "drift_offsets", None, id="drift_offsets_short"),
+    pytest.param("switching_multiclass.cfg", "drift_gains = None", [], "drift_gains", None,
+                 id="drift_gains_missing"),
 ]
 
 
@@ -568,24 +574,37 @@ def test_cli_command_on_another_scenario_is_input_error(tmp_path, capsys, comman
 
 
 @pytest.mark.parametrize(
-    "preset, qtilde, condition",
+    "preset, lines, condition, commands",
     [
-        ("switching_single.cfg", "[[0.0, 0.0], [0.0, 0.0]]", "weak irreducibility"),
+        ("switching_single.cfg", "qtilde = [[0.0, 0.0], [0.0, 0.0]]", "weak irreducibility",
+         ["converge"]),
         (
             "switching_multiclass.cfg",
-            "[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, -2, 2], [0, 0, 1, -1]]",
+            "qtilde = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, -2, 2], [0, 0, 1, -1]]",
             "block irreducibility",
+            ["converge", "aggregate"],
         ),
+        ("fast_slow.cfg", "fast_gain_y = 1.5", "ergodicity condition K3 < mu_1",
+         ["freeze", "converge", "simulate"]),
     ],
-    ids=["single", "multiclass"],
+    ids=["single", "multiclass", "fast_slow_not_ergodic"],
 )
-def test_cli_reducible_qtilde_is_condition_failure(tmp_path, preset, qtilde, condition):
+def test_cli_reducible_qtilde_is_condition_failure(
+    tmp_path, capsys, preset, lines, condition, commands
+):
+    # named for its first two cases; the fast-slow one fails the ergodicity condition instead
     path = tmp_path / preset
-    path.write_text((CONFIG_DIR / preset).read_text() + f"qtilde = {qtilde}\n", encoding="utf-8")
+    path.write_text((CONFIG_DIR / preset).read_text() + lines + "\n", encoding="utf-8")
     args = ["check", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
     assert cli.main(args) == 1
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert [c["name"] for c in summary["conditions"] if not c["passed"]] == [condition]
+    # every experiment refuses to start: exit 1, the failure on stderr, no output directory
+    for command in commands:
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("condition failure:")
+        assert not out.exists()
 
 
 # Builders each scenario's commands call on a config that passed the input gate.
