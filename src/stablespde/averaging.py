@@ -122,7 +122,8 @@ def ergodic_decay_probe(
     """|E b(z, Y_z(t; y)) - bbar(z)|_H over the grid, by ensemble averaging.
 
     ``t_grid`` doubles as the stepping grid (must start at 0); ``observable``
-    is called as in :func:`estimate_ergodic_drift`.
+    is called as in :func:`estimate_ergodic_drift`.  A deviation within the
+    ensemble sum's rounding of ``bbar``, n_paths * eps_mach * |bbar|_H, reads 0.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0:
@@ -134,8 +135,9 @@ def ergodic_decay_probe(
         noise = draw_noise(beta, stream, t_grid.size - 1, op_b.k_trunc)
         rec = solve_frozen_fast(z, y, fast_drift, op_b, w_z, beta, t_grid, noise)
         acc += np.broadcast_to(observable(z, rec.states), rec.states.shape)
-    mean_obs = acc / n_paths
-    return np.linalg.norm(mean_obs - bbar, axis=1)
+    deviation = np.linalg.norm(acc / n_paths - bbar, axis=1)
+    residue = n_paths * np.finfo(float).eps * np.linalg.norm(bbar)
+    return np.where(deviation <= residue, 0.0, deviation)
 
 
 def fit_decay_rate(t_grid, values) -> float:

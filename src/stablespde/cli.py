@@ -122,7 +122,8 @@ def _run(args) -> int:
     """Load and validate, run the subcommand, write its files, print its lines.
 
     Every condition that failed makes exit code 1; only ``check`` returns
-    with one, the other experiments raise ConditionError before running.
+    with one, the other experiments raise ConditionError before running, and
+    ``converge`` also when its results are not finite.
     """
     cfg = load_config(args.config)
     if args.seed is not None:

@@ -111,9 +111,12 @@ def _mild_solve(
 
     Row i of ``noise`` drives grid step i.  Without a chain ``drift`` maps
     state to state; with one it is called as drift(x, regime) and sub-steps at
-    the chain's jump times.  One table per solve gives each step its jumps:
-    step i spans the chain's intervals lo[i]-1 .. hi[i]-1, where lo[i] is the
-    first jump after grid[i] and hi[i] the first at or after grid[i+1].
+    the chain's jump times.  One piece table per solve holds every sub-step:
+    the grid points and the jumps between them cut [grid[0], grid[-1]] into
+    pieces, step i spans pieces first[i] .. first[i+1]-1, and each piece keeps
+    the regime at its start.  A piece's decay and drift factor rows come from
+    one vectorised call over all pieces; a piece that is a whole step takes
+    the plan's rows instead.
     """
     grid, dt = _check_grid(grid)
     if chain is not None and (grid[0] < 0 or grid[-1] > chain.horizon):
@@ -126,19 +129,18 @@ def _mild_solve(
             x = plan.decay * x + drift(x) * plan.drift_factor + kicks[i]
             out[i + 1] = x
         return TrajectoryRecord(grid, out)
-    lam, times, regimes = op.eigenvalues, chain.times, chain.states
-    lo = np.searchsorted(times, grid[:-1], side="right").tolist()
-    hi = np.searchsorted(times, grid[1:], side="left").tolist()
-    t = grid.tolist()
+    lam, times = op.eigenvalues, chain.times
+    pts = np.union1d(grid, times[(times > grid[0]) & (times < grid[-1])])
+    first = np.searchsorted(pts, grid)
+    regimes = chain.states[np.searchsorted(times, pts[:-1], side="right") - 1].tolist()
+    tau = np.diff(pts)[:, None]
+    decay, factor = np.exp(-lam * tau), drift_factor(lam, tau)
+    whole = first[:-1][np.diff(first) == 1]
+    decay[whole], factor[whole] = plan.decay, plan.drift_factor
+    first = first.tolist()
     for i in range(grid.size - 1):
-        if lo[i] == hi[i]:
-            x = plan.decay * x + drift(x, int(regimes[lo[i] - 1])) * plan.drift_factor
-        else:
-            # split the step at its jumps; each piece keeps the regime at its start
-            pts = (t[i], *times[lo[i] : hi[i]].tolist(), t[i + 1])
-            for a, b, regime in zip(pts[:-1], pts[1:], regimes[lo[i] - 1 : hi[i]].tolist()):
-                tau = b - a
-                x = np.exp(-lam * tau) * x + drift(x, regime) * drift_factor(lam, tau)
+        for j in range(first[i], first[i + 1]):
+            x = decay[j] * x + drift(x, regimes[j]) * factor[j]
         x = x + kicks[i]
         out[i + 1] = x
     return TrajectoryRecord(grid, out, chain=chain)

@@ -42,7 +42,7 @@ from .switching import (
 
 
 class ConditionError(RuntimeError):
-    """An assumption check failed; experiments refuse to start (exit code 1)."""
+    """An assumption check failed, or a run's results are not finite (exit code 1)."""
 
 
 @dataclass(frozen=True)
@@ -274,7 +274,8 @@ def _fit_or_notice(what: str, fit, *args):
 def run_converge(cfg: ExperimentConfig):
     """Coupled eps-sweep.
 
-    Returns ((report, checks), ErrorTable, checkpoint ErrorTable, RateFit|None, notice).
+    Returns ((report, checks), ErrorTable, checkpoint ErrorTable, RateFit|None, notice);
+    raises ConditionError naming each eps whose pair norms or table entries are not finite.
     """
     if cfg.n_paths < 2:
         raise ConfigError(f"converge needs n_paths >= 2 for a standard error, got {cfg.n_paths}")
@@ -294,6 +295,10 @@ def run_converge(cfg: ExperimentConfig):
             results[e, j] = norms[-1], norms.max()
     eps_arr = np.asarray(cfg.eps_grid, dtype=float)
     moments = [np.array([p_moment(r[:, c], cfg.p, cfg.n_batches) for r in results]) for c in (0, 1)]
+    finite = np.isfinite(results).all(axis=(1, 2)) & np.isfinite(moments).all(axis=(0, 2))
+    if not finite.all():
+        bad = ", ".join(f"{e:g}" for e in eps_arr[~finite])
+        raise ConditionError(f"non-finite pair norms or error table entries at eps = {bad}")
     table, sup_table = (ErrorTable(eps_arr, cfg.p, *m.T, cfg.n_paths) for m in moments)
 
     theo = theoretical_rate_exponent(cfg.alpha, cfg.p, cfg.theta)

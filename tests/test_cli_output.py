@@ -117,6 +117,18 @@ def test_freeze_prints_the_notice_when_the_decay_fit_is_refused(tmp_path, capsys
     assert lines == [f"{s['notice']}; y0 gap {s['y0_gap_in_combined_se']:.2f} SE"]
 
 
+def test_freeze_refuses_a_decay_fit_on_rounding_residue(tmp_path, capsys):
+    # a constant observable with an offset leaves only summation rounding as deviation
+    extra = "est_reps = 2\nslow_gain_x = 0.0\nslow_gain_y = 0.0\nslow_offset = 0.7\n"
+    rc, lines, out = _run(tmp_path, capsys, "freeze", _preset("fast_slow.cfg", extra))
+    assert rc == 0
+    assert all(float(dev) == 0.0 for _, dev in _csv_rows(out / "freeze_decay.csv"))
+    s = _summary(out)
+    assert s["decay_rate"] is None
+    assert s["notice"] == "decay fit refused: need at least two positive values to fit a decay rate"
+    assert lines == [f"{s['notice']}; y0 gap {s['y0_gap_in_combined_se']:.2f} SE"]
+
+
 def test_aggregate_prints_one_line_per_class_pair(tmp_path, capsys):
     rc, lines, out = _run(tmp_path, capsys, "aggregate", _preset("aggregate.cfg"))
     assert rc == 0

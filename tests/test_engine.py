@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablespde.averaging import class_average_drift, nu_average_drift
 from stablespde.config import fast_substeps, load_config
@@ -415,24 +417,45 @@ def _reference_switching_states(x0, drift, op, weights, alpha, chain, grid, nois
 
 
 GRID11 = np.linspace(0.0, 1.0, 11)
+SUB_GRID = np.linspace(0.3, 0.8, 6)  # starts after the chain's 0, ends before its horizon
 HAND_CHAINS = {
-    "jump_on_grid_point": ([0.0, GRID11[3], 0.61], [0, 2, 1]),
-    "jumps_inside_one_step": ([0.0, 0.42, 0.45, 0.47, 0.48], [1, 0, 2, 0, 1]),
-    "jump_in_last_step": ([0.0, 0.95], [2, 0]),
-    "no_jump": ([0.0], [1]),
+    "jump_on_grid_point": ([0.0, GRID11[3], 0.61], [0, 2, 1], GRID11),
+    "jumps_inside_one_step": ([0.0, 0.42, 0.45, 0.47, 0.48], [1, 0, 2, 0, 1], GRID11),
+    "jump_in_last_step": ([0.0, 0.95], [2, 0], GRID11),
+    "no_jump": ([0.0], [1], GRID11),
+    "sub_grid_jumps_on_both_ends": (
+        [0.0, 0.1, SUB_GRID[0], 0.55, SUB_GRID[-1], 0.9], [2, 0, 1, 2, 0, 1], SUB_GRID
+    ),
+    "sub_grid_jumps_outside_only": ([0.0, 0.2, 0.85], [1, 2, 0], SUB_GRID),
 }
+
+
+def _assert_solve_matches_reference(times, states, grid, seed):
+    chain = ChainPath(np.array(times), np.array(states), 1.0)
+    drift = SaturatingRegimeDrift(np.array([0.3, -0.8, 0.5]), np.array([0.2, -0.4, 0.1]))
+    x0 = np.array([1.0, -0.5, 0.25])
+    args = (x0, drift, OP3, W3, 1.5, chain, grid, slow_noise(RngStream(seed), grid))
+    ref = _reference_switching_states(*args)
+    assert solve_switching_spde(*args).states.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(HAND_CHAINS))
 def test_switching_solve_matches_per_step_lookups(name):
-    times, states = HAND_CHAINS[name]
-    chain = ChainPath(np.array(times), np.array(states), 1.0)
-    drift = SaturatingRegimeDrift(np.array([0.3, -0.8, 0.5]), np.array([0.2, -0.4, 0.1]))
-    x0 = np.array([1.0, -0.5, 0.25])
-    noise = slow_noise(RngStream(17), GRID11)
-    rec = solve_switching_spde(x0, drift, OP3, W3, 1.5, chain, GRID11, noise)
-    ref = _reference_switching_states(x0, drift, OP3, W3, 1.5, chain, GRID11, noise)
-    assert rec.states.tobytes() == ref.tobytes()
+    _assert_solve_matches_reference(*HAND_CHAINS[name], 17)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_switching_solve_on_random_chains_matches_per_step_lookups(data):
+    n_steps = data.draw(st.integers(1, 12), label="n_steps")
+    start = data.draw(st.floats(0.01, 0.4), label="start")
+    stop = data.draw(st.floats(start + 0.05, 0.99), label="stop")
+    grid = np.linspace(start, stop, n_steps + 1)
+    # jumps anywhere in (0, 1), or snapped onto a grid point, the two ends included
+    jump = st.one_of(st.floats(0.0, 1.0, exclude_min=True), st.sampled_from(grid.tolist()))
+    times = np.unique([0.0, *data.draw(st.lists(jump, max_size=15), label="jumps")])
+    states = data.draw(st.lists(st.integers(0, 2), min_size=times.size, max_size=times.size))
+    _assert_solve_matches_reference(times, states, grid, data.draw(st.integers(0, 2**32)))
 
 
 def test_class_chain_solve_matches_per_step_lookups():
