@@ -101,10 +101,13 @@ def _simulate(cfg, out):
     checked, rec = harness.run_simulate(cfg)
     k = rec.states.shape[1]
     header = "t,h_norm," + ",".join(f"coef_{i + 1}" for i in range(k)) + ",u_mid"
-    rows = (
+    rows = [
         [float(t), h_norm(s), *map(float, s), harness.synthesize_point(s, np.pi / 2)]
         for t, s in zip(rec.times, rec.states)
-    )
+    ]
+    bad = [row[0] for row in rows if not np.isfinite(row).all()]
+    if bad:
+        raise ConditionError(f"non-finite values in the checkpoint at t = {bad[0]:g}")
     line = f"wrote {rec.times.size} checkpoints to {out / 'simulate.csv'}"
     return checked, {"simulate.csv": (header, rows)}, {}, [line]
 
@@ -123,7 +126,7 @@ def _run(args) -> int:
 
     Every condition that failed makes exit code 1; only ``check`` returns
     with one, the other experiments raise ConditionError before running, and
-    ``converge`` also when its results are not finite.
+    ``converge`` and ``simulate`` also when their results are not finite.
     """
     cfg = load_config(args.config)
     if args.seed is not None:

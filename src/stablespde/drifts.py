@@ -12,7 +12,7 @@ The saturating nonlinearity is tanh: odd, bounded, 1-Lipschitz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,12 +90,9 @@ class SaturatingCoupledDrift:
 
 
 @dataclass(frozen=True)
-class ZeroCoupledDrift:
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.zeros(np.broadcast(x, y).shape)
+class ZeroCoupledDrift(SaturatingCoupledDrift):
+    """g(x, y) = 0: the saturating coupled drift whose gains and offset are 0."""
 
-    def frozen(self, x: np.ndarray) -> SaturatingRegimeDrift:
-        """y -> 0 for any ``x``."""
-        return SaturatingRegimeDrift([0.0], [0.0])
-
-    grad_y_bound = 0.0
+    gain_x: float = field(default=0.0, init=False)
+    gain_y: float = field(default=0.0, init=False)
+    offset: float = field(default=0.0, init=False)

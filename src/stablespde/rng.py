@@ -49,10 +49,13 @@ L_NOISE_TAG = 0  # slow-field noise L, k_trunc variates per grid step
 CHAIN_TAG = 1  # the switching chain, simulated by the harness
 Z_NOISE_TAG = 2  # fast-field noise Z, per (path, eps) or per frozen-fast run
 
-# Stream ids reserved for averaged-drift estimation, clear of any path index.
-# converge's fast-slow average runs on ESTIMATOR_STREAM; freeze's estimate at
-# slow state z_id on ESTIMATOR_STREAM + z_id, its initial-condition pair on
-# Y0_PAIR_STREAMS and its decay probe on DECAY_PROBE_STREAM.
+# Stream ids of averaged-drift estimation.  converge's fast-slow average runs on
+# ESTIMATOR_STREAM; freeze's estimate at slow state z_id on ESTIMATOR_STREAM + z_id,
+# its initial-condition pair on Y0_PAIR_STREAMS and its decay probe on
+# DECAY_PROBE_STREAM.  A path id can reach these ids (config.MAX_RUN_SIZE admits
+# n_paths up to 10^7), yet the keys stay distinct: a path's noise sources key
+# (seed, path, tag), one substream tag, while each estimator or probe run keys
+# (seed, stream id, run, Z_NOISE_TAG), two.
 ESTIMATOR_STREAM = 900_000
 Y0_PAIR_STREAMS = (ESTIMATOR_STREAM + 50, ESTIMATOR_STREAM + 51)
 DECAY_PROBE_STREAM = ESTIMATOR_STREAM + 60

@@ -53,23 +53,28 @@ def rod_operator(k_trunc: int) -> SpectralOperator:
     return SpectralOperator.from_rule(PowerLawRule(1.0, 2.0), k_trunc)
 
 
+def _bound_grid(delta: float, t_grid, t_positive: bool) -> np.ndarray:
+    """The t grid as a column, after refusing a delta outside (0, 1) or a bad t."""
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))[:, None]
+    if t_positive and np.any(t <= 0):
+        raise ValueError("t must be positive")
+    if np.any(t < 0):
+        raise ValueError("t must be nonnegative")
+    return t
+
+
 def smoothing_bound_check(op: SpectralOperator, delta: float, t_grid) -> bool:
     """Check max_k lam_k^delta exp(-lam_k t) <= (delta/e)^delta t^-delta on the grid.
 
     The supremum of lam^delta exp(-lam t) over lam > 0 sits at lam = delta/t,
     so this is an analytic identity; a False return indicates a bug.
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    lam = op.eigenvalues
-    for t in np.atleast_1d(t_grid):
-        if t <= 0:
-            raise ValueError("t must be positive")
-        lhs = np.max(lam**delta * np.exp(-lam * t))
-        bound = np.exp(-delta) * delta**delta * t ** (-delta)
-        if lhs > bound * (1 + 1e-12):
-            return False
-    return True
+    t, lam = _bound_grid(delta, t_grid, t_positive=True), op.eigenvalues
+    lhs = np.max(lam**delta * np.exp(-lam * t), axis=1, keepdims=True)
+    bound = np.exp(-delta) * delta**delta * t ** (-delta)
+    return not np.any(lhs > bound * (1 + 1e-12))
 
 
 def hoelder_bound_check(op: SpectralOperator, delta: float, t_grid) -> bool:
@@ -77,16 +82,9 @@ def hoelder_bound_check(op: SpectralOperator, delta: float, t_grid) -> bool:
 
     Constant 1 suffices since 1 - exp(-u) <= min(1, u) <= u^delta.
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    lam = op.eigenvalues
-    for t in np.atleast_1d(t_grid):
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        lhs = np.max(lam ** (-delta) * -np.expm1(-lam * t))
-        if lhs > t**delta * (1 + 1e-12):
-            return False
-    return True
+    t, lam = _bound_grid(delta, t_grid, t_positive=False), op.eigenvalues
+    lhs = np.max(lam ** (-delta) * -np.expm1(-lam * t), axis=1, keepdims=True)
+    return not np.any(lhs > t**delta * (1 + 1e-12))
 
 
 @dataclass(frozen=True)

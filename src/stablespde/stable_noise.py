@@ -80,23 +80,19 @@ def _cms(alpha, u, w):
 def sample_standard_stable(alpha, rng, size):
     """Draw from the standard symmetric stable law, CF exp(-|u|^alpha).
 
-    ``rng`` may be an :class:`RngStream` or a live ``numpy.random.Generator``
-    (the latter allows sequential draws inside steppers).  ``size`` is an int
-    or a shape of one or more axes.  The draw follows the stream contract of
-    :mod:`.rng`: all its uniforms, then all its exponentials, so a draw of any
-    shape is the 1-d draw of as many values, reshaped.  The transform then
-    runs in chunks of values written back into the uniforms.
+    ``rng`` may be an :class:`RngStream` or a live ``numpy.random.Generator``.
+    ``size`` is an int or a shape of one or more axes.  The draw follows the
+    stream contract of :mod:`.rng`: all its uniforms, then all its
+    exponentials, so a draw of any shape is the 1-d draw of as many values,
+    reshaped.  The transform then runs in chunks of values written back into
+    the uniforms.
     """
     _check_alpha(alpha)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    out, w = np.empty(size), np.empty(size)
-    if out.ndim == 0:
+    out = gen.uniform(-np.pi / 2, np.pi / 2, size)
+    if np.ndim(out) == 0:
         raise ValueError(f"size must have at least one axis, got {size!r}")
-    u, w = out.reshape(-1), w.reshape(-1)
-    gen.random(out=u)  # then in place, the bits of gen.uniform(-pi/2, pi/2)
-    u *= np.pi
-    u -= np.pi / 2
-    gen.standard_exponential(out=w)
+    u, w = out.reshape(-1), gen.standard_exponential(out.size)
     for i in range(0, u.size, _TRANSFORM_CHUNK):
         chunk = slice(i, i + _TRANSFORM_CHUNK)
         u[chunk] = _cms(alpha, u[chunk], w[chunk])

@@ -132,11 +132,9 @@ def aggregate_generator(
         raise ValueError("partition inconsistent with blocks")
     n, l = qhat.n_states, partition.n_classes
     mu_tilde = np.zeros((l, n))
-    ones = np.zeros((n, l))
     for i, (blk, gen) in enumerate(zip(partition.classes, qtilde_blocks)):
         mu_tilde[i, list(blk)] = stationary_distribution(gen)
-        ones[list(blk), i] = 1.0
-    return GeneratorMatrix(mu_tilde @ qhat.rates @ ones)
+    return GeneratorMatrix(mu_tilde @ qhat.rates @ np.eye(l)[partition.class_of()])
 
 
 # Stream contract of simulate_chain: draws come in chunks of _CHUNK,
@@ -210,11 +208,9 @@ def simulate_chain(
         cum[i, :last] = np.cumsum(kernel[i, :last]) / exit_rates[i]
 
     gen = rng.generator()
-    exps = gen.standard_exponential(_CHUNK)
-    unis = gen.random(_CHUNK)
     times, states = [np.zeros(1)], [np.array([r0])]
     t, state = 0.0, r0
-    pos, block = 0, _FIRST_BLOCK
+    pos, block = _CHUNK, _FIRST_BLOCK  # no chunk yet: the loop draws the first
     while exit_rates[state] > 0:
         if pos == _CHUNK:
             exps = gen.standard_exponential(_CHUNK)

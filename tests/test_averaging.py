@@ -123,6 +123,16 @@ def test_frozen_drift_is_coupled_drift_at_fixed_x(coupled):
         assert frozen(y).tobytes() == coupled(x, y).tobytes()
 
 
+def test_zero_coupled_drift_is_saturating_drift_with_zero_coefficients():
+    zero = ZeroCoupledDrift()
+    assert isinstance(zero, SaturatingCoupledDrift)
+    assert (zero.gain_x, zero.gain_y, zero.offset) == (0.0, 0.0, 0.0)
+    assert zero.grad_y_bound == 0.0
+    assert zero.bound_for(20) == 0.0
+    with pytest.raises(TypeError):
+        ZeroCoupledDrift(0.5, 0.5)
+
+
 def test_frozen_saturating_drift_hand_value():
     # g(x, y) = 0.3 tanh(x) + 0.5 tanh(y) + 0.2
     x, y = np.array([0.4, -1.0]), np.array([2.0, -0.5])

@@ -607,28 +607,45 @@ def test_cli_reducible_qtilde_is_condition_failure(
         assert not out.exists()
 
 
+def _cli_subprocess(*args):
+    """Run the CLI in a subprocess, where numpy's overflow warnings stay warnings."""
+    env = {**os.environ, "PYTHONPATH": str(Path(stablespde.__file__).resolve().parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "stablespde.cli", *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 @pytest.mark.parametrize(
     "coeff, bad_eps", [("20000.0", "0.1, 0.05, 0.02, 0.01, 0.005"), ("900.0", "0.005")]
 )
 def test_cli_converge_refuses_non_finite_results(tmp_path, coeff, bad_eps):
     # a reaction far above lambda_1 overflows: inf norms at 20000, an inf SE at 900 and
-    # eps = 0.005.  The run goes in a subprocess, where numpy's overflow warnings stay warnings.
+    # eps = 0.005.
     path = tmp_path / "exp.cfg"
     extra = f"n_paths = 4\ndrift_coeffs = [{coeff}, {coeff}]\n"
     path.write_text((CONFIG_DIR / "switching_single.cfg").read_text() + extra, encoding="utf-8")
     out = tmp_path / "out"
-    env = {**os.environ, "PYTHONPATH": str(Path(stablespde.__file__).resolve().parent.parent)}
-    args = ["converge", "--config", str(path), "--out", str(out)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "stablespde.cli", *args],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _cli_subprocess("converge", "--config", str(path), "--out", str(out))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert (
         f"condition failure: non-finite pair norms or error table entries at eps = {bad_eps}\n"
         in proc.stderr
     )
+    assert not out.exists()
+
+
+def test_cli_simulate_refuses_non_finite_checkpoints(tmp_path):
+    # at reaction 20000 the coefficients reach 2.8e158 by t = 0.98, and their H-norm overflows
+    path = tmp_path / "exp.cfg"
+    extra = "drift_coeffs = [20000.0, 20000.0]\n"
+    path.write_text((CONFIG_DIR / "switching_single.cfg").read_text() + extra, encoding="utf-8")
+    out = tmp_path / "out"
+    proc = _cli_subprocess("simulate", "--config", str(path), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "condition failure: non-finite values in the checkpoint at t = 0.98\n" in proc.stderr
     assert not out.exists()
 
 

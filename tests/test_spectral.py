@@ -86,6 +86,7 @@ def test_smoothing_bound_small_delta():
 def test_hoelder_bound_examples():
     op = SpectralOperator(np.array([1.0]))
     assert hoelder_bound_check(op, 0.5, [1.0])
+    assert hoelder_bound_check(op, 0.5, [0.0, 1.0])
     assert -np.expm1(-1.0) <= 1.0
     assert hoelder_bound_check(rod_operator(50), 0.9, [1e-3, 0.1, 1.0, 10.0])
 
@@ -157,3 +158,24 @@ def test_admissibility_rejects_mismatched_pairs():
         admissibility(op, w, 1.5, 0.5, op_b=op, w_z=short, beta=1.5)
     with pytest.raises(ValueError, match="together"):
         admissibility(op, w, 1.5, 0.5, op_b=op, w_z=w)
+
+
+@pytest.mark.parametrize("check", [smoothing_bound_check, hoelder_bound_check])
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, 1.5, np.nan])
+def test_bound_checks_refuse_delta_outside_unit_interval(check, delta):
+    with pytest.raises(ValueError, match="delta must lie in"):
+        check(rod_operator(5), delta, [1.0])
+
+
+@pytest.mark.parametrize(
+    "check, bad_t, message",
+    [
+        (smoothing_bound_check, 0.0, "t must be positive"),
+        (smoothing_bound_check, -1.0, "t must be positive"),
+        (hoelder_bound_check, -1e-3, "t must be nonnegative"),
+    ],
+)
+def test_bound_checks_refuse_a_bad_t_anywhere_in_the_grid(check, bad_t, message):
+    for grid in ([bad_t, 1.0, 2.0], [1.0, bad_t, 2.0], [1.0, 2.0, bad_t]):
+        with pytest.raises(ValueError, match=message):
+            check(rod_operator(5), 0.5, grid)

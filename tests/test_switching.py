@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stablespde.config import load_config
 from stablespde.rng import CHAIN_TAG, RngStream
@@ -86,6 +88,38 @@ def test_aggregate_generator_hand_instance():
 def test_aggregate_generator_zero_qhat():
     qbar = aggregate_generator(QT_BLOCKS, GeneratorMatrix.zero(4), PART4)
     assert np.allclose(qbar.rates, 0.0)
+
+
+@st.composite
+def _aggregation_cases(draw):
+    """Irreducible class blocks, a generator Qhat and a partition whose classes may interleave."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    order = draw(st.permutations(range(sum(sizes))))
+    cuts = np.cumsum([0, *sizes])
+    partition = ClassPartition(tuple(tuple(order[a:b]) for a, b in zip(cuts[:-1], cuts[1:])))
+
+    def generator(m, low):
+        off = np.array(draw(st.lists(st.floats(low, 5.0), min_size=m * m, max_size=m * m)))
+        off = off.reshape(m, m)
+        np.fill_diagonal(off, 0.0)
+        return GeneratorMatrix(off - np.diag(off.sum(axis=1)))
+
+    return [generator(m, 0.1) for m in sizes], generator(sum(sizes), 0.0), partition
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_aggregation_cases())
+@example(case=(QT_BLOCKS, QHAT4, ClassPartition(((2, 0), (1, 3)))))
+def test_aggregate_generator_is_mu_qhat_indicator_product(case):
+    blocks, qhat, partition = case
+    n, l = qhat.n_states, partition.n_classes
+    mu_tilde, indicator = np.zeros((l, n)), np.zeros((n, l))
+    for i, blk in enumerate(partition.classes):
+        mu_tilde[i, list(blk)] = stationary_distribution(blocks[i])
+        for s in blk:
+            indicator[s, i] = 1.0
+    qbar = aggregate_generator(blocks, qhat, partition)
+    assert qbar.rates.tobytes() == (mu_tilde @ qhat.rates @ indicator).tobytes()
 
 
 def test_simulate_chain_frozen_when_rates_zero():
