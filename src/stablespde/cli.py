@@ -125,8 +125,9 @@ def _run(args) -> int:
     """Load and validate, run the subcommand, write its files, print its lines.
 
     Every condition that failed makes exit code 1; only ``check`` returns
-    with one, the other experiments raise ConditionError before running, and
-    ``converge`` and ``simulate`` also when their results are not finite.
+    with one, the other experiments raise ConditionError before running,
+    ``converge`` and ``simulate`` also when their results are not finite, and
+    ``aggregate`` when a class has no occupation time.
     """
     cfg = load_config(args.config)
     if args.seed is not None:

@@ -380,7 +380,8 @@ def run_aggregate(cfg: ExperimentConfig):
     Pools transition counts and occupation times over ``n_paths`` independent
     chains (equivalent to one chain of horizon n_paths * T), which tightens the
     empirical-rate estimate without changing eps.  Returns
-    ((report, checks), Qbar, rows, per_class).
+    ((report, checks), Qbar, rows, per_class); raises ConditionError naming each
+    class the chains never visit, whose empirical rates are undefined.
     """
     if cfg.scenario != "switching-multiclass":
         raise ConfigError(f"aggregate needs scenario switching-multiclass, got {cfg.scenario!r}")
@@ -401,11 +402,14 @@ def run_aggregate(cfg: ExperimentConfig):
         np.add.at(counts, (agg.states[:-1], agg.states[1:]), 1.0)
         class_time += occupation_fractions(agg, part.n_classes) * cfg.T
         occ += occupation_fractions(chain, qt.n_states) / cfg.n_paths
+    unvisited = ", ".join(str(i + 1) for i in np.flatnonzero(class_time == 0))
+    if unvisited:
+        raise ConditionError(f"zero occupation time in class {unvisited}")
     rows = []
     for i in range(part.n_classes):
         for j in range(part.n_classes):
             if i != j:
-                emp = counts[i, j] / class_time[i] if class_time[i] > 0 else 0.0
+                emp = counts[i, j] / class_time[i]
                 rows.append((i + 1, j + 1, float(emp), float(qbar.rates[i, j])))
     per_class = {}
     for i, blk in enumerate(part.classes):
@@ -414,7 +418,7 @@ def run_aggregate(cfg: ExperimentConfig):
         mu = stationary_distribution(blocks[i])
         per_class[str(i + 1)] = {
             "occupation": float(total),
-            "within_class_empirical": (blk_occ / total).tolist() if total > 0 else None,
+            "within_class_empirical": (blk_occ / total).tolist(),
             "within_class_stationary": mu.tolist(),
         }
     return checked, qbar, rows, per_class

@@ -88,7 +88,7 @@ class ChainPath:
         object.__setattr__(self, "states", s)
         if t.size != s.size or t.size == 0:
             raise ValueError("times and states must be nonempty and equal-length")
-        if t[0] != 0 or np.any(np.diff(t) <= 0) or t[-1] > self.horizon:
+        if t[0] != 0 or np.any(t[1:] <= t[:-1]) or t[-1] > self.horizon:
             raise ValueError("jump times must increase from 0 within the horizon")
 
     def state_at(self, t: float) -> int:
@@ -138,31 +138,37 @@ def aggregate_generator(
 
 
 # Stream contract of simulate_chain: draws come in chunks of _CHUNK,
-# standard_exponential(_CHUNK) then random(_CHUNK), a new chunk only when the
-# chain needs a draw past the end of the last one.
+# standard_exponential(_CHUNK) then random(_CHUNK), chunk after chunk on one fresh
+# generator.  The order of the chunks is the contract; how many are drawn ahead of
+# the walk is not observable, since no other draw shares the generator.
 _CHUNK = 4096
 _FIRST_BLOCK = 64
+_MAX_BLOCK = 4 * _CHUNK
+_LOOP_WALK = 32  # a walk of at most this many steps runs as a plain Python loop
 
 
-def _walk(maps: np.ndarray, s0: int) -> np.ndarray:
-    """States s_1..s_m of the walk s_{k+1} = maps[k, s_k] from s_0 = s0.
+def _walk(table: np.ndarray, cols: np.ndarray, s0: int) -> np.ndarray:
+    """States s_0..s_m of the walk s_{k+1} = table[s_k, cols[k]] from s_0 = s0.
 
     Pairwise composition: the maps of draws 2i and 2i+1 compose into one map,
     the walk over those m/2 maps gives the states after the odd draws, and
     one gather from those gives the states after the even draws.  That is
-    log2(m) rounds of integer fancy indexing on O(m n) entries in all.  Row k
-    of the flattened table starts at k * n.
+    log2(m) rounds of integer gathers on O(m n) entries in all.  Map k is
+    column cols[k] of the table, and entry (s, c) of the flattened table sits
+    at s * w + c.
     """
-    m, n = maps.shape
-    if m == 1:
-        return maps[0, s0 : s0 + 1]
-    flat = maps.reshape(-1)
-    half = m // 2
-    pairs = flat.take(maps[0 : 2 * half : 2] + np.arange(n, 2 * half * n, 2 * n)[:, None])
-    out = np.empty(m, dtype=maps.dtype)
-    out[1::2] = _walk(pairs, s0)
-    before_even = np.concatenate(([s0], out[1 : m - 1 : 2]))
-    out[0::2] = flat.take(before_even + np.arange(0, m * n, 2 * n))
+    m = cols.size
+    if m <= _LOOP_WALK:
+        out = [s0]
+        for col in table[:, cols].T.tolist():
+            out.append(col[out[-1]])
+        return np.array(out, dtype=np.intp)
+    w, half = table.shape[1], m // 2
+    flat = table.reshape(-1)
+    pairs = flat.take(table.take(cols[0 : 2 * half : 2], axis=1) * w + cols[1 : 2 * half : 2])
+    out = np.empty(m + 1, dtype=np.intp)
+    out[0::2] = _walk(pairs, np.arange(half), s0)
+    out[1::2] = flat.take(out[0:m:2] * w + cols[0::2])
     return out
 
 
@@ -179,14 +185,17 @@ def simulate_chain(
     Draw k is the pair (exps[k], unis[k]): the holding time in the current
     state s is exps[k] / exit_rate[s] and the next state is the first index
     whose cumulative jump probability from s exceeds unis[k].  The draws come
-    in chunks (see ``_CHUNK``); that order is the stream contract.  Each chunk
-    is walked in blocks of 64, 128, ... draws, so a short chain draws few
-    maps: a block tabulates the jump map of every state for each of its
-    draws, composes the maps pairwise to get the states (:func:`_walk`), and
-    sums the holding times with one cumulative sum, which adds in the same
-    order as a jump-by-jump loop and so gives the same bits.  The walk stops
-    at the first absorbing state or the first jump time at or past the
-    horizon.
+    in chunks (see ``_CHUNK``); their order is the stream contract, and how
+    many chunks are drawn ahead is not observable.  The chain is walked in
+    blocks of 64, 128, ... up to 4 * _CHUNK draws, which may span chunks; a
+    chunk is drawn when a block needs draws past the last one.  Every row
+    threshold of the cumulative kernel is one of its distinct values, so one
+    searchsorted of a block's uniforms against those values picks, for every
+    draw, a row of a threshold table that holds the jump map of every state.
+    The maps compose pairwise into the states (:func:`_walk`), and one
+    cumulative sum of the holding times adds them in the same order as a
+    jump-by-jump loop and so gives the same bits.  The walk stops at the
+    first absorbing state or the first jump time at or past the horizon.
     """
     if not (eps > 0 and 0 < horizon < np.inf):
         raise ValueError("eps and horizon must be positive and the horizon finite")
@@ -206,48 +215,66 @@ def simulate_chain(
     for i in np.flatnonzero(exit_rates > 0):
         last = np.flatnonzero(kernel[i])[-1]
         cum[i, :last] = np.cumsum(kernel[i, :last]) / exit_rates[i]
+    # column b of the table maps every state on a uniform u with edges[b - 1] <= u <
+    # edges[b]: cum[s, j] <= u exactly when cum[s, j] <= edges[b - 1], as cum[s, j]
+    # is an edge; column 0 serves u below every edge
+    edges = np.unique(cum)
+    table = np.zeros((n, edges.size + 1), dtype=np.intp)
+    for s in range(n):
+        table[s, 1:] = np.searchsorted(cum[s], edges, side="right")
 
     gen = rng.generator()
+    exps = unis = np.empty(0)
     times, states = [np.zeros(1)], [np.array([r0])]
     t, state = 0.0, r0
-    pos, block = _CHUNK, _FIRST_BLOCK  # no chunk yet: the loop draws the first
+    pos, m = 0, _FIRST_BLOCK
     while exit_rates[state] > 0:
-        if pos == _CHUNK:
-            exps = gen.standard_exponential(_CHUNK)
-            unis = gen.random(_CHUNK)
+        if pos + m > exps.size:
+            n_new = -(-(pos + m - exps.size) // _CHUNK)
+            new_exps, new_unis = zip(
+                *[(gen.standard_exponential(_CHUNK), gen.random(_CHUNK)) for _ in range(n_new)]
+            )
+            exps = np.concatenate([exps[pos:], *new_exps])
+            unis = np.concatenate([unis[pos:], *new_unis])
             pos = 0
-        m = min(block, _CHUNK - pos)
-        block = min(2 * block, _CHUNK)
-        u = unis[pos : pos + m]
-        maps = np.empty((m, n), dtype=np.intp)
-        for s in range(n):
-            maps[:, s] = np.searchsorted(cum[s], u, side="right")
-        after = _walk(maps, state)
-        before = np.concatenate(([state], after[:-1]))
-        t_after = np.cumsum(np.concatenate(([t], exps[pos : pos + m] / hold_rates[before])))[1:]
-        taken = (exit_rates[before] > 0) & (t_after < horizon)
-        k = m if taken.all() else int(np.argmin(taken))
-        times.append(t_after[:k])
-        states.append(after[:k])
-        if k < m:
+        walk = _walk(table, np.searchsorted(edges, unis[pos : pos + m], side="right"), state)
+        before, after = walk[:-1], walk[1:]
+        # adding t to the first holding time gives the bits of a sum that starts at t
+        t_after = exps[pos : pos + m] / hold_rates[before]
+        t_after[0] += t
+        np.cumsum(t_after, out=t_after)
+        live = exit_rates[before] > 0
+        if t_after[-1] >= horizon or not live.all():
+            k = int(np.argmin(live & (t_after < horizon)))
+            times.append(t_after[:k])
+            states.append(after[:k])
             break
-        t, state = t_after[-1], after[-1]
+        times.append(t_after)
+        states.append(after)
+        t, state = t_after[-1], int(after[-1])
         pos += m
-    return ChainPath(np.concatenate(times), np.concatenate(states), horizon)
+        m = min(2 * m, _MAX_BLOCK)
+    # each list of pieces is dropped once joined, so at most 1.5x the output is held
+    times = np.concatenate(times)
+    states = np.concatenate(states)
+    return ChainPath(times, states, horizon)
 
 
 def aggregate_path(path: ChainPath, partition: ClassPartition) -> ChainPath:
     """Map states to class indices, merging consecutive equal-class segments."""
     lookup = partition.class_of()
     classes = lookup[path.states]
-    keep = np.concatenate(([True], np.diff(classes) != 0))
+    keep = np.empty(classes.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(classes[1:], classes[:-1], out=keep[1:])
     return ChainPath(path.times[keep], classes[keep], path.horizon)
 
 
 def occupation_fractions(path: ChainPath, n: int) -> np.ndarray:
     """Fraction of the horizon spent in each state; sums to 1."""
-    bounds = np.append(path.times, path.horizon)
-    durations = np.diff(bounds)
+    durations = np.empty(path.times.size)
+    np.subtract(path.times[1:], path.times[:-1], out=durations[:-1])
+    durations[-1] = path.horizon - path.times[-1]
     out = np.zeros(n)
     np.add.at(out, path.states, durations)
     return out / path.horizon

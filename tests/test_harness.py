@@ -649,6 +649,18 @@ def test_cli_simulate_refuses_non_finite_checkpoints(tmp_path):
     assert not out.exists()
 
 
+def test_cli_aggregate_refuses_a_class_it_never_visits(tmp_path):
+    # over T = 0.02 the chain, started in class 1, stays there: class 2's rates are undefined
+    path = tmp_path / "exp.cfg"
+    path.write_text((CONFIG_DIR / "aggregate.cfg").read_text() + "T = 0.02\n", encoding="utf-8")
+    out = tmp_path / "out"
+    proc = _cli_subprocess("aggregate", "--config", str(path), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "condition failure: zero occupation time in class 2\n" in proc.stderr
+    assert not out.exists()
+
+
 # Builders each scenario's commands call on a config that passed the input gate.
 _BUILDERS = {
     "switching-single": ("generator_pair", "regime_drift"),

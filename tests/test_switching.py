@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from stablespde.switching import (
     ChainPath,
     ClassPartition,
     GeneratorMatrix,
+    _walk,
     aggregate_generator,
     aggregate_path,
     occupation_fractions,
@@ -212,6 +214,104 @@ def test_simulate_chain_matches_reference_into_absorbing_state(seed, n_jumps):
     path = _assert_matches_reference(ABSORBING3, zero, 1.0, 0, 1e6, RngStream(seed))
     assert path.states.size - 1 == n_jumps
     assert path.states[-1] == 2
+
+
+def test_simulate_chain_matches_reference_absorbed_in_a_block_across_chunks():
+    # the 4096-draw block after 4032 draws spans the first two chunks; absorption
+    # after 5766 jumps takes its last draws from the second chunk
+    q = GeneratorMatrix(np.array([[-1.0, 1.0, 0.0], [0.9997, -1.0, 0.0003], [0.0, 0.0, 0.0]]))
+    path = _assert_matches_reference(q, GeneratorMatrix.zero(3), 1.0, 0, 1e6, RngStream(0))
+    assert path.states.size - 1 == 5766
+    assert path.states[-1] == 2
+
+
+@st.composite
+def _chain_cases(draw):
+    """Generators of 2-6 states with up to n zero rates in each, perhaps an
+    absorbing (all-zero) row that only Qhat leads into, at rates of at most
+    2e-3, a start outside it, and a horizon of 10 to 40,000 jumps at the
+    fastest exit rate."""
+    n = draw(st.integers(2, 6))
+    absorbing = draw(st.sampled_from([None, *range(n)]))
+
+    def generator(fast):
+        off = np.array(draw(st.lists(st.floats(0.01, 2.0), min_size=n * n, max_size=n * n)))
+        off[list(draw(st.sets(st.integers(0, n * n - 1), max_size=n)))] = 0.0
+        off = off.reshape(n, n)
+        np.fill_diagonal(off, 0.0)
+        if absorbing is not None:
+            off[absorbing] = 0.0
+            off[:, absorbing] *= 0.0 if fast else 1e-3
+        return GeneratorMatrix(off - np.diag(off.sum(axis=1)))
+
+    qtilde, qhat = generator(True), generator(False)
+    eps = draw(st.floats(1e-3, 1.0))
+    fastest = np.max(-np.diag(qtilde.rates / eps + qhat.rates))
+    jumps = draw(st.sampled_from([10, 100, 1_000, 5_000, 20_000, 40_000]))
+    horizon = jumps / fastest if fastest > 0 else 1.0
+    r0 = draw(st.sampled_from([s for s in range(n) if s != absorbing]))
+    return qtilde, qhat, eps, r0, horizon
+
+
+# a fast 3-state ring that leaks slowly into the absorbing state 3
+RING4 = GeneratorMatrix(
+    np.array(
+        [
+            [-1.0, 1.0, 0.0, 0.0],
+            [0.0, -1.0, 1.0, 0.0],
+            [1.0, 0.0, -1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+)
+LEAK4 = GeneratorMatrix(0.05 * np.array([[-1.0, 0, 0, 1], [0, -1, 0, 1], [0, 0, -1, 1], [0] * 4]))
+
+
+# the examples stop at the horizon after 12,035 and 30,123 jumps, and in state 3 after 19,097
+@settings(max_examples=50, deadline=None)
+@given(case=_chain_cases())
+@example(case=(SYM2, GeneratorMatrix.zero(2), 1e-3, 0, 12.0))
+@example(case=(SYM2, GeneratorMatrix.zero(2), 1e-3, 0, 30.0))
+@example(case=(RING4, LEAK4, 1e-3, 0, 50.0))
+def test_simulate_chain_matches_reference_on_generated_chains(case):
+    _assert_matches_reference(*case, RngStream(7))
+
+
+def test_walk_matches_a_sequential_loop():
+    rng = np.random.default_rng(6)
+    for n in range(1, 7):
+        for m in range(1, 301):
+            table = rng.integers(0, n, size=(n, 5))
+            cols = rng.integers(0, 5, size=m)
+            states = [int(rng.integers(n))]
+            for c in cols:
+                states.append(int(table[states[-1], c]))
+            assert _walk(table, cols, states[0]).tolist() == states
+
+
+def test_chain_and_class_counts_memory_is_bounded():
+    # the aggregate preset's chain at eps = 1e-3, T = 1000: about 1.2 M jumps
+    cfg = load_config(CONFIG_DIR / "aggregate.cfg")
+    qt, qh = cfg.generator_pair()
+    rng = RngStream(cfg.seed, 0).substream(CHAIN_TAG)
+
+    def extra_peak(call):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        path, chain_peak = extra_peak(lambda: simulate_chain(qt, qh, 1e-3, 0, 1000.0, rng))
+        _, aggregate_peak = extra_peak(lambda: aggregate_path(path, cfg.class_partition()))
+        _, occupation_peak = extra_peak(lambda: occupation_fractions(path, qt.n_states))
+    finally:
+        tracemalloc.stop()
+    assert path.times.size > 10**6
+    assert chain_peak <= 1.8 * (path.times.nbytes + path.states.nbytes)
+    assert aggregate_peak <= 1.25 * path.times.nbytes
+    assert occupation_peak <= 1.25 * path.times.nbytes
 
 
 def test_simulate_chain_matches_reference_horizon_on_first_draw():
