@@ -64,6 +64,15 @@ class ErgodicEstimatorConfig:
         return burn, horizon
 
 
+def _frozen_runs(z, y0, fast_drift, op_b, w_z, beta, grid, n_runs: int, rng: RngStream):
+    """States of ``n_runs`` frozen-fast runs from ``y0`` on ``grid``; run r steps on
+    noise drawn on ``rng.substream(r).substream(Z_NOISE_TAG)``."""
+    for r in range(n_runs):
+        noise = draw_noise(beta, rng.substream(r).substream(Z_NOISE_TAG), grid.size - 1,
+                           op_b.k_trunc)
+        yield solve_frozen_fast(z, y0, fast_drift, op_b, w_z, beta, grid, noise).states
+
+
 def estimate_ergodic_drift(
     z: FieldState,
     fast_drift,
@@ -92,10 +101,8 @@ def estimate_ergodic_drift(
     keep = grid > burn
 
     rep_means, batch_vars = [], []
-    for rep in range(config.n_reps):
-        noise = draw_noise(beta, rng.substream(rep).substream(Z_NOISE_TAG), n_steps, op_b.k_trunc)
-        rec = solve_frozen_fast(z, y0, fast_drift, op_b, w_z, beta, grid, noise)
-        states = rec.states[keep]
+    for states in _frozen_runs(z, y0, fast_drift, op_b, w_z, beta, grid, config.n_reps, rng):
+        states = states[keep]
         values = np.broadcast_to(observable(z, states), states.shape)
         rep_means.append(values.mean(axis=0))
         batches = np.array_split(values, _N_BATCHES, axis=0)
@@ -130,11 +137,8 @@ def ergodic_decay_probe(
         raise ValueError("t_grid must start at 0")
     z = np.asarray(z, dtype=float)
     acc = np.zeros((t_grid.size, op_b.k_trunc))
-    for j in range(n_paths):
-        stream = rng.substream(j).substream(Z_NOISE_TAG)
-        noise = draw_noise(beta, stream, t_grid.size - 1, op_b.k_trunc)
-        rec = solve_frozen_fast(z, y, fast_drift, op_b, w_z, beta, t_grid, noise)
-        acc += np.broadcast_to(observable(z, rec.states), rec.states.shape)
+    for states in _frozen_runs(z, y, fast_drift, op_b, w_z, beta, t_grid, n_paths, rng):
+        acc += np.broadcast_to(observable(z, states), states.shape)
     deviation = np.linalg.norm(acc / n_paths - bbar, axis=1)
     residue = n_paths * np.finfo(float).eps * np.linalg.norm(bbar)
     return np.where(deviation <= residue, 0.0, deviation)

@@ -176,7 +176,12 @@ class ExperimentConfig:
         if self.x0 is not None:
             return self._modes("x0")
         k = np.arange(1, self.k_trunc + 1, dtype=float)
-        return k**-self.x0_decay
+        with np.errstate(over="ignore"):
+            x0 = k**-self.x0_decay
+        if not np.all(np.isfinite(x0)):
+            raise ConfigError(f"x0_decay = {self.x0_decay} makes k^-x0_decay overflow for "
+                              f"k <= k_trunc = {self.k_trunc}")
+        return x0
 
     def initial_fast_state(self) -> np.ndarray:
         return self._modes("y0") if self.y0 is not None else np.zeros(self.k_trunc)

@@ -57,11 +57,10 @@ def make_step_plan(
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """States recorded on the time grid; optionally the co-evolving chain or fast field."""
+    """States recorded on the time grid; for a fast-slow solve, the fast field's too."""
 
     times: np.ndarray
     states: np.ndarray  # shape (len(times), k_trunc)
-    chain: ChainPath | None = None
     fast_states: np.ndarray | None = None
 
 
@@ -106,8 +105,8 @@ def _mild_solve(
     grid,
     noise: np.ndarray,
     chain: ChainPath | None = None,
-) -> TrajectoryRecord:
-    """The exponential-Euler loop shared by every single-field solve.
+) -> np.ndarray:
+    """The exponential-Euler loop shared by every single-field solve: its states on ``grid``.
 
     Row i of ``noise`` drives grid step i.  Without a chain ``drift`` maps
     state to state; with one it is called as drift(x, regime) and sub-steps at
@@ -128,7 +127,7 @@ def _mild_solve(
         for i in range(grid.size - 1):
             x = plan.decay * x + drift(x) * plan.drift_factor + kicks[i]
             out[i + 1] = x
-        return TrajectoryRecord(grid, out)
+        return out
     lam, times = op.eigenvalues, chain.times
     pts = np.union1d(grid, times[(times > grid[0]) & (times < grid[-1])])
     first = np.searchsorted(pts, grid)
@@ -143,7 +142,7 @@ def _mild_solve(
             x = decay[j] * x + drift(x, regimes[j]) * factor[j]
         x = x + kicks[i]
         out[i + 1] = x
-    return TrajectoryRecord(grid, out, chain=chain)
+    return out
 
 
 def solve_switching_spde(
@@ -160,7 +159,8 @@ def solve_switching_spde(
 
     ``drift`` is called as drift(x, regime); ``noise`` holds one row per grid step.
     """
-    return _mild_solve(x0, drift, op_a, w_l, alpha, grid, noise, chain)
+    states = _mild_solve(x0, drift, op_a, w_l, alpha, grid, noise, chain)
+    return TrajectoryRecord(np.asarray(grid, dtype=float), states)
 
 
 def solve_averaged_spde(
@@ -173,7 +173,8 @@ def solve_averaged_spde(
     noise: np.ndarray,
 ) -> TrajectoryRecord:
     """Mild stepper for the averaged field; ``averaged_drift`` maps state to state."""
-    return _mild_solve(x0, averaged_drift, op_a, w_l, alpha, grid, noise)
+    states = _mild_solve(x0, averaged_drift, op_a, w_l, alpha, grid, noise)
+    return TrajectoryRecord(np.asarray(grid, dtype=float), states)
 
 
 def solve_frozen_fast(
@@ -188,7 +189,8 @@ def solve_frozen_fast(
 ) -> TrajectoryRecord:
     """Fast field with the slow variable frozen at ``z`` (no time-scale factor)."""
     _check_ergodic(fast_drift, op_b)
-    return _mild_solve(y0, fast_drift.frozen(z), op_b, w_z, beta, grid, noise)
+    states = _mild_solve(y0, fast_drift.frozen(z), op_b, w_z, beta, grid, noise)
+    return TrajectoryRecord(np.asarray(grid, dtype=float), states)
 
 
 def solve_fast_slow(

@@ -8,6 +8,9 @@ discrepancy; a fast-slow eps-system draws its fast noise per (path, eps) on the
 path's ``Z_NOISE_TAG`` substream.  The same slow noise drives the path at every
 eps (common random numbers), which makes the error columns strongly positively
 correlated and the monotone decrease visible at desk scale.
+
+``_frozen_estimate`` is the one call site of the ergodic estimator: the
+config's frozen fast field, for the fast-slow averaged drift and for ``freeze``.
 """
 
 from __future__ import annotations
@@ -189,6 +192,12 @@ def _checkpoint_idx(grid: np.ndarray, n_checkpoints: int) -> np.ndarray:
     return np.unique(np.append(idx[:-1], grid.size - 1))  # the last checkpoint is T
 
 
+def _frozen_estimate(cfg: ExperimentConfig, z, observable, rng: RngStream, y0=None):
+    """estimate_ergodic_drift of ``observable`` over the config's frozen fast field at ``z``."""
+    return estimate_ergodic_drift(z, cfg.fast_coupled_drift(), observable, cfg.op_b(),
+                                  cfg.weights_z(), cfg.beta, cfg.estimator_config(), rng, y0=y0)
+
+
 def averaged_fast_slow_drift(cfg: ExperimentConfig, rng: RngStream):
     """Averaged slow drift for the fast-slow scenario.
 
@@ -197,16 +206,7 @@ def averaged_fast_slow_drift(cfg: ExperimentConfig, rng: RngStream):
     gain_x tanh(z) + gain_y * m + offset with m = int tanh(u) pi(du), which is
     estimated once.  Returns (drift, m, se(m)); the drift maps state to state.
     """
-    m, se = estimate_ergodic_drift(
-        np.zeros(cfg.k_trunc),
-        cfg.fast_coupled_drift(),
-        lambda z, u: np.tanh(u),
-        cfg.op_b(),
-        cfg.weights_z(),
-        cfg.beta,
-        cfg.estimator_config(),
-        rng,
-    )
+    m, se = _frozen_estimate(cfg, np.zeros(cfg.k_trunc), lambda z, u: np.tanh(u), rng)
     slow = cfg.slow_coupled_drift()
     return SaturatingRegimeDrift([slow.gain_x], [slow.gain_y * m + slow.offset]), m, se
 
@@ -217,7 +217,7 @@ def _slow_noise(cfg: ExperimentConfig, stream: RngStream, grid: np.ndarray) -> n
 
 
 def _eps_system(cfg: ExperimentConfig, grid: np.ndarray):
-    """solve(eps, stream, noise): one path of the eps-system on its stream and slow noise."""
+    """solve(eps, stream, noise) -> (record, chain or None on fast-slow): one eps-system path."""
     op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
     if cfg.scenario == "fast-slow":
         y0, op_b, w_z = cfg.initial_fast_state(), cfg.op_b(), cfg.weights_z()
@@ -227,7 +227,7 @@ def _eps_system(cfg: ExperimentConfig, grid: np.ndarray):
             shape = (n, fast_substeps(cfg.T / n, eps, cfg.c_sub), cfg.k_trunc)
             noise_z = draw_noise(cfg.beta, stream.substream(Z_NOISE_TAG), *shape)
             return solve_fast_slow(x0, y0, slow, fast, op_a, op_b, w_l, w_z, cfg.alpha, cfg.beta,
-                                   eps, grid, noise, noise_z)
+                                   eps, grid, noise, noise_z), None
 
         return solve
     qt, qh = cfg.generator_pair()
@@ -235,13 +235,13 @@ def _eps_system(cfg: ExperimentConfig, grid: np.ndarray):
 
     def solve(eps, stream, noise):
         chain = simulate_chain(qt, qh, eps, cfg.r0 - 1, cfg.T, stream.substream(CHAIN_TAG))
-        return solve_switching_spde(x0, drift, op_a, w_l, cfg.alpha, chain, grid, noise)
+        return solve_switching_spde(x0, drift, op_a, w_l, cfg.alpha, chain, grid, noise), chain
 
     return solve
 
 
 def _averaged_system(cfg: ExperimentConfig, grid: np.ndarray):
-    """solve(rec, noise): the averaged limit coupled to the eps-system record ``rec``."""
+    """solve(chain, noise): the averaged limit coupled to the eps-system path of ``chain``."""
     op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
     if cfg.scenario == "switching-multiclass":
         part = cfg.class_partition()
@@ -250,15 +250,15 @@ def _averaged_system(cfg: ExperimentConfig, grid: np.ndarray):
         # the averaged equation rides the aggregated chain of the same path:
         # a concrete coupling of the limit chain, as the class process of the
         # eps-chain converges weakly to it
-        return lambda rec, noise: solve_switching_spde(
-            x0, class_drift, op_a, w_l, cfg.alpha, aggregate_path(rec.chain, part), grid, noise
+        return lambda chain, noise: solve_switching_spde(
+            x0, class_drift, op_a, w_l, cfg.alpha, aggregate_path(chain, part), grid, noise
         )
     if cfg.scenario == "switching-single":
         nu = stationary_distribution(cfg.generator_pair()[0])
         averaged = nu_average_drift(cfg.regime_drift(), nu)
     else:
         averaged, _, _ = averaged_fast_slow_drift(cfg, RngStream(cfg.seed, ESTIMATOR_STREAM))
-    return lambda rec, noise: solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, noise)
+    return lambda chain, noise: solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, noise)
 
 
 def _fit_or_notice(what: str, fit, *args):
@@ -289,8 +289,8 @@ def run_converge(cfg: ExperimentConfig):
         stream = RngStream(cfg.seed, j)
         noise = _slow_noise(cfg, stream, grid)
         for e, eps in enumerate(cfg.eps_grid):
-            rec_eps = solve_eps(eps, stream, noise)
-            diff = rec_eps.states - solve_bar(rec_eps, noise).states
+            rec_eps, chain = solve_eps(eps, stream, noise)
+            diff = rec_eps.states - solve_bar(chain, noise).states
             norms = np.linalg.norm(diff[chk], axis=1)
             results[e, j] = norms[-1], norms.max()
     eps_arr = np.asarray(cfg.eps_grid, dtype=float)
@@ -339,27 +339,20 @@ def run_freeze(cfg: ExperimentConfig):
         raise ConfigError(f"freeze needs scenario fast-slow, got {cfg.scenario!r}")
     checked = _checked(cfg)
     op_b, w_z = cfg.op_b(), cfg.weights_z()
-    fast = cfg.fast_coupled_drift()
-    slow = cfg.slow_coupled_drift()
-    est_cfg = cfg.estimator_config()
+    fast, slow = cfg.fast_coupled_drift(), cfg.slow_coupled_drift()
     x0 = cfg.initial_state()
     z_grid = [np.zeros(cfg.k_trunc), x0, 2.0 * x0]
 
-    def estimate(z, stream_id, y0=None):
-        return estimate_ergodic_drift(
-            z, fast, slow, op_b, w_z, cfg.beta, est_cfg, RngStream(cfg.seed, stream_id), y0=y0
-        )
-
     rows = []  # (z_id, component, bbar, se)
     for z_id, z in enumerate(z_grid):
-        est, se = estimate(z, ESTIMATOR_STREAM + z_id)
+        est, se = _frozen_estimate(cfg, z, slow, RngStream(cfg.seed, ESTIMATOR_STREAM + z_id))
         for k in range(est.size):
             rows.append((z_id, k, float(est[k]), float(se[k])))
 
     # initial-condition insensitivity at z = x0: re-estimate from a displaced y0
     y_alt = np.ones(cfg.k_trunc)
-    est_a, se_a = estimate(x0, Y0_PAIR_STREAMS[0])
-    est_b, se_b = estimate(x0, Y0_PAIR_STREAMS[1], y0=y_alt)
+    est_a, se_a = _frozen_estimate(cfg, x0, slow, RngStream(cfg.seed, Y0_PAIR_STREAMS[0]))
+    est_b, se_b = _frozen_estimate(cfg, x0, slow, RngStream(cfg.seed, Y0_PAIR_STREAMS[1]), y_alt)
     comb = np.sqrt(se_a**2 + se_b**2)
     y0_gap_in_se = float(np.max(np.abs(est_a - est_b) / np.where(comb > 0, comb, np.inf)))
 
@@ -432,7 +425,7 @@ def run_simulate(cfg: ExperimentConfig):
     checked = _checked(cfg)
     grid, stream = _time_grid(cfg), RngStream(cfg.seed, 0)
     solve_eps = _eps_system(cfg, grid)
-    return checked, solve_eps(cfg.eps_grid[0], stream, _slow_noise(cfg, stream, grid))
+    return checked, solve_eps(cfg.eps_grid[0], stream, _slow_noise(cfg, stream, grid))[0]
 
 
 def synthesize_point(coeffs: np.ndarray, x: float) -> float:

@@ -27,8 +27,11 @@ class PowerLawRule:
     exponent: float
 
     def values(self, k_trunc: int) -> np.ndarray:
+        """The first ``k_trunc`` values; one that overflows is inf (or nan for c = 0),
+        for the sequence's own finite check to refuse."""
         k = np.arange(1, k_trunc + 1, dtype=float)
-        return self.c * k**self.exponent
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.c * k**self.exponent
 
 
 @dataclass(frozen=True)

@@ -541,6 +541,14 @@ MALFORMED = [
                  "drift_offsets", None, id="drift_offsets_short"),
     pytest.param("switching_multiclass.cfg", "drift_gains = None", [], "drift_gains", None,
                  id="drift_gains_missing"),
+    pytest.param("switching_multiclass.cfg", "partition = [[1.5, 2], [3, 4]]", [], "partition",
+                 None, id="partition_non_integer"),
+    pytest.param("fast_slow.cfg", "beta = 2.5", [], "beta", "freeze", id="beta_above_two"),
+    # values that overflow a float: numpy's overflow warning used to come first
+    pytest.param("switching_single.cfg", "x0_decay = -300.0", [], "x0_decay", "simulate",
+                 id="x0_decay_overflowing"),
+    pytest.param("switching_single.cfg", "operator_a = [1.0, 400.0]", [], "operator_a", None,
+                 id="operator_a_overflowing"),
 ]
 
 
@@ -647,6 +655,41 @@ def test_cli_simulate_refuses_non_finite_checkpoints(tmp_path):
     assert proc.stdout == ""
     assert "condition failure: non-finite values in the checkpoint at t = 0.98\n" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, key, commands",
+    [("x0_decay = -300.0", "x0_decay", ["check", "simulate", "converge"]),
+     ("operator_a = [1.0, 400.0]", "operator_a", ["check"])],
+    ids=["x0_decay", "operator_a"],
+)
+def test_cli_overflowing_input_prints_only_its_message(tmp_path, line, key, commands):
+    # outside pytest numpy's overflow warnings stay warnings: none may reach stderr
+    path = tmp_path / "exp.cfg"
+    path.write_text((CONFIG_DIR / "switching_single.cfg").read_text() + line + "\n",
+                    encoding="utf-8")
+    for command in commands:
+        out = tmp_path / command
+        proc = _cli_subprocess(command, "--config", str(path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"input error: {key}")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+        assert not out.exists()
+
+
+def test_saturating_drift_without_offsets_runs(tmp_path):
+    # the bounded-saturating drift with drift_offsets absent: zero offsets, and a run that ends
+    path = tmp_path / "exp.cfg"
+    text = (CONFIG_DIR / "switching_multiclass.cfg").read_text() + "drift_offsets = None\n"
+    path.write_text(text, encoding="utf-8")
+    drift = parse_config(text).regime_drift()
+    assert np.array_equal(drift.offsets, np.zeros(4))
+    out = tmp_path / "out"
+    assert cli.main(["check", "--config", str(path), "--out", str(out / "c"), "--quiet"]) == 0
+    args = ["converge", "--config", str(path), "--out", str(out / "v"), "--paths", "3", "--quiet"]
+    assert cli.main(args) == 0
+    table = np.loadtxt(out / "v" / "converge.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert table.shape == (5, 5) and np.isfinite(table).all()
 
 
 def test_cli_aggregate_refuses_a_class_it_never_visits(tmp_path):
