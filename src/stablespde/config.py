@@ -2,7 +2,8 @@
 
 Format: one ``key = value`` per line, ``#`` comments, values in Python literal
 syntax (reals, integers, lists, inline matrices as nested bracketed lists).
-Unknown keys are hard errors.  The key schema is the field list of
+Unknown keys are hard errors, and so is a key the scenario never reads when it is
+set to anything but its default.  The key schema is the field list of
 ``ExperimentConfig`` below and is documented in the README.
 """
 
@@ -90,6 +91,11 @@ class ExperimentConfig:
             _check_type(f.name, f.type, getattr(self, f.name))
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; pick one of {SCENARIOS}")
+        for key in _UNREAD[self.scenario]:
+            default = getattr(_DEFAULTS, key)
+            if getattr(self, key) != default:
+                raise ConfigError(f"{key} is not read by scenario {self.scenario}; "
+                                  f"leave it out or at its default {default!r}")
         if not 1.0 < self.alpha <= 2.0:
             raise ConfigError(f"alpha must lie in (1, 2], got {self.alpha}")
         if not 1.0 < self.beta <= 2.0:
@@ -283,6 +289,18 @@ def _reals(value, shape=None) -> np.ndarray:
 
 
 _FIELDS = {f.name for f in fields(ExperimentConfig)}
+_DEFAULTS = ExperimentConfig()
+# keys a scenario never reads; a value other than the default would be echoed as if used
+_FAST_SLOW_ONLY = ("beta", "operator_b", "noise_z", "y0", "slow_gain_x", "slow_gain_y",
+                   "slow_offset", "fast_gain_y", "c_sub", "est_dt", "est_burn_in",
+                   "est_horizon", "est_reps")
+_SWITCHING_ONLY = ("qtilde", "qhat", "partition", "r0", "drift", "drift_coeffs", "drift_gains",
+                   "drift_offsets")
+_UNREAD = {
+    "switching-single": _FAST_SLOW_ONLY + ("partition",),
+    "switching-multiclass": _FAST_SLOW_ONLY,
+    "fast-slow": _SWITCHING_ONLY,
+}
 _POSITIVE = ("T", "dt", "c_sub", "est_dt", "est_horizon")
 _AT_LEAST = {"k_trunc": 1, "n_paths": 1, "seed": 0, "n_batches": 2, "checkpoints": 1,
              "est_reps": 1, "est_burn_in": 0}

@@ -44,7 +44,13 @@ class RngStream:
 # Stream contract: each (path, stable source L or Z) is one sampler draw on a fresh
 # generator of its substream, all its uniforms then all its exponentials, so a draw
 # of any shape is the 1-d draw of as many values, reshaped (row i of a noise array
-# is the i-th run of k values).  The chain keeps its own order (switching._CHUNK).
+# is the i-th run of k values).
+# Chain contract: each chain (one per path and eps) walks a fresh generator of its
+# path's CHAIN_TAG substream in blocks.  Block b = 0, 1, ... draws m_b =
+# min(64 * 2**b, 16384) values, standard_exponential(m_b) then random(m_b), and draw
+# k of the walk is the pair (exponential k, uniform k).  The block schedule is thus
+# part of the contract: retuning it moves the chains' output bits, the price of a
+# chain drawing no values beyond the block it stops in.
 L_NOISE_TAG = 0  # slow-field noise L, k_trunc variates per grid step
 CHAIN_TAG = 1  # the switching chain, simulated by the harness
 Z_NOISE_TAG = 2  # fast-field noise Z, per (path, eps) or per frozen-fast run

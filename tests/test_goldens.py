@@ -35,19 +35,19 @@ GOLDEN = {
         "summary.json": "62986d84f3fb4d9276ded5f79ffe39846550600f8b361dba26c7709ca3d11114",
     },
     ("converge", "switching_single.cfg"): {
-        "converge.csv": "163ec1ba74c81af65adfb5ae7e7e6e1ae5dd4b95825b492b443dd77229154ede",
-        "summary.json": "d3f5037b3bb3b0a6ac5c957907d5abd508255ba2bcb20fe50c6b18b4f8e50e9d",
+        "converge.csv": "bed69099b78ca98a2bb85527318d17446bacd4d7e12ca02f00d71cb79ec91c11",
+        "summary.json": "7dd4fe0416ac4d431326bb22475b68bbc66cd148420931c7fa7275748709dc9f",
     },
     ("check", "switching_multiclass.cfg"): {
         "summary.json": "8b0f65b0334b8e6bb3859f0946777d3850c8978a882570c80aef30f04493b3e2",
     },
     ("simulate", "switching_multiclass.cfg"): {
-        "simulate.csv": "9da45982182ce8f309431465828ab2737f93121b49a7c7e87737d2dd7d7dca12",
+        "simulate.csv": "c6b3064fe2ef852c4cf9ba3d17ef84ba9609f1f35797fd2ae1717ddb2d28c4ae",
         "summary.json": "8b0f65b0334b8e6bb3859f0946777d3850c8978a882570c80aef30f04493b3e2",
     },
     ("converge", "switching_multiclass.cfg"): {
-        "converge.csv": "36f3b7d3fca77426a8fac73315c79260945f72f3114f1440aa9c6b801c5c905d",
-        "summary.json": "1770a35613beca17ca790cdc8aaadc2d57a4f0d50fc90a61587c7baa7cecf632",
+        "converge.csv": "0e8b32ff1f1c63a4df25dac3360845c60fc92bb036770b0245327c5f9bda0d05",
+        "summary.json": "8ac047a675b53d8a31ca93538327b8a89290d247170b3b3f50c2b5a4754f0aef",
     },
     ("check", "fast_slow.cfg"): {
         "summary.json": "3b28012062670ba79c1393b82357a0d6d74b6a4bd872f27cb95b648832b141fe",
@@ -69,8 +69,8 @@ GOLDEN = {
         "summary.json": "d515bb33fed12febcbed09a814b5bffbabc8f5692cdcdb924ca317dfdcf93b52",
     },
     ("aggregate", "aggregate.cfg"): {
-        "aggregate.csv": "6b2131e44a13eaae7ce8417b5ad7547119777a822d51898e1dd2e79ca6d7564c",
-        "summary.json": "95468e4c728f53d35d8d3121dde7d5703b538321a6272a72610cb59d94eb73c9",
+        "aggregate.csv": "77ff24f7ba184418fdb75e888d019b05bc0c5dfd8c14648e2427d7706d8bb66f",
+        "summary.json": "6694d36cb574ee99de854f0221e59248431b6da5cba03b46ee65ca2d79d95729",
     },
 }
 

@@ -549,6 +549,16 @@ MALFORMED = [
                  id="x0_decay_overflowing"),
     pytest.param("switching_single.cfg", "operator_a = [1.0, 400.0]", [], "operator_a", None,
                  id="operator_a_overflowing"),
+    # keys the scenario never reads: each passed and was echoed into summary.json as if used
+    pytest.param("switching_single.cfg", "operator_b = [1.0, 400.0]", [], "operator_b",
+                 "converge", id="operator_b_unread"),
+    pytest.param("switching_single.cfg", "noise_z = [1.0, -400.0]", [], "noise_z", "converge",
+                 id="noise_z_unread"),
+    pytest.param("switching_single.cfg", "y0 = [1.0]", [], "y0", "simulate", id="y0_unread"),
+    pytest.param("fast_slow.cfg", "qtilde = [[1.0]]", [], "qtilde", "converge",
+                 id="qtilde_unread"),
+    pytest.param("fast_slow.cfg", "drift_coeffs = ['a']", [], "drift_coeffs", "freeze",
+                 id="drift_coeffs_unread"),
 ]
 
 

@@ -153,7 +153,12 @@ def test_simulate_chain_jump_count_poisson_oracle():
 
 
 def _reference_chain(qtilde, qhat, eps, r0, horizon, rng):
-    """The jump-by-jump Gillespie loop that simulate_chain must reproduce bit for bit."""
+    """The jump-by-jump Gillespie loop that simulate_chain must reproduce bit for bit.
+
+    Its draws follow the chain's stream contract, stated here rather than imported:
+    blocks of 64 draws, doubling up to 16,384, each standard_exponential(m) then
+    random(m) on one fresh generator.
+    """
     q = qtilde.rates / eps + qhat.rates
     n = q.shape[0]
     exit_rates = -np.diag(q)
@@ -165,17 +170,16 @@ def _reference_chain(qtilde, qhat, eps, r0, horizon, rng):
     gen = rng.generator()
     times, states = [0.0], [r0]
     t, state = 0.0, r0
-    chunk = 4096
-    exps = gen.standard_exponential(chunk)
-    unis = gen.random(chunk)
+    exps = unis = np.empty(0)
     pos = 0
     while True:
         rate = exit_rates[state]
         if rate <= 0:
             break
-        if pos >= chunk:
-            exps = gen.standard_exponential(chunk)
-            unis = gen.random(chunk)
+        if pos == exps.size:
+            block = 64 if exps.size == 0 else min(2 * exps.size, 16384)
+            exps = gen.standard_exponential(block)
+            unis = gen.random(block)
             pos = 0
         t += exps[pos] / rate
         if t >= horizon:
@@ -195,12 +199,13 @@ def _assert_matches_reference(qtilde, qhat, eps, r0, horizon, rng):
     return path
 
 
-def test_simulate_chain_matches_reference_across_chunks():
+def test_simulate_chain_matches_reference_into_capped_blocks():
+    # blocks 0-8 hold 64 + 128 + ... + 16,384 = 32,704 draws; every later block is capped
     cfg = load_config(CONFIG_DIR / "aggregate.cfg")
     qt, qh = cfg.generator_pair()
     rng = RngStream(cfg.seed, 0).substream(CHAIN_TAG)
-    path = _assert_matches_reference(qt, qh, 1e-3, 0, 20.0, rng)
-    assert path.states.size > 5 * 4096  # several draw chunks
+    path = _assert_matches_reference(qt, qh, 1e-3, 0, 30.0, rng)
+    assert path.states.size - 1 > 32_704  # 36,487 jumps
 
 
 # absorbed in state 2 after 30 jumps (inside the first 64-draw block), after
@@ -208,7 +213,7 @@ def test_simulate_chain_matches_reference_across_chunks():
 ABSORBING3 = GeneratorMatrix(np.array([[-1.0, 1.0, 0.0], [0.97, -1.0, 0.03], [0.0, 0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("seed, n_jumps", [(82, 30), (64, 64), (749, 192)])
+@pytest.mark.parametrize("seed, n_jumps", [(135, 30), (210, 64), (197, 192)])
 def test_simulate_chain_matches_reference_into_absorbing_state(seed, n_jumps):
     zero = GeneratorMatrix.zero(3)
     path = _assert_matches_reference(ABSORBING3, zero, 1.0, 0, 1e6, RngStream(seed))
@@ -216,12 +221,12 @@ def test_simulate_chain_matches_reference_into_absorbing_state(seed, n_jumps):
     assert path.states[-1] == 2
 
 
-def test_simulate_chain_matches_reference_absorbed_in_a_block_across_chunks():
-    # the 4096-draw block after 4032 draws spans the first two chunks; absorption
-    # after 5766 jumps takes its last draws from the second chunk
-    q = GeneratorMatrix(np.array([[-1.0, 1.0, 0.0], [0.9997, -1.0, 0.0003], [0.0, 0.0, 0.0]]))
-    path = _assert_matches_reference(q, GeneratorMatrix.zero(3), 1.0, 0, 1e6, RngStream(0))
-    assert path.states.size - 1 == 5766
+def test_simulate_chain_matches_reference_absorbed_in_a_capped_block():
+    # absorption after 46,970 jumps falls inside block 9, draws 32,705 to 49,088,
+    # the first block that the 16,384 cap shortens
+    q = GeneratorMatrix(np.array([[-1.0, 1.0, 0.0], [0.99996, -1.0, 0.00004], [0.0, 0.0, 0.0]]))
+    path = _assert_matches_reference(q, GeneratorMatrix.zero(3), 1.0, 0, 1e6, RngStream(1))
+    assert path.states.size - 1 == 46_970
     assert path.states[-1] == 2
 
 
@@ -267,7 +272,7 @@ RING4 = GeneratorMatrix(
 LEAK4 = GeneratorMatrix(0.05 * np.array([[-1.0, 0, 0, 1], [0, -1, 0, 1], [0, 0, -1, 1], [0] * 4]))
 
 
-# the examples stop at the horizon after 12,035 and 30,123 jumps, and in state 3 after 19,097
+# the examples stop at the horizon after 12,038 and 30,052 jumps, and in state 3 after 1,775
 @settings(max_examples=50, deadline=None)
 @given(case=_chain_cases())
 @example(case=(SYM2, GeneratorMatrix.zero(2), 1e-3, 0, 12.0))
@@ -375,6 +380,34 @@ def test_simulate_chain_state_without_target_holds():
     q = GeneratorMatrix(np.array([[-1e-13, 0.0], [1.0, -1.0]]))
     path = _assert_matches_reference(q, GeneratorMatrix.zero(2), 1.0, 0, 5.0, RngStream(5))
     assert path.states.tolist() == [0]
+
+
+class _RecordingDraws:
+    """A stream whose generator records every draw request it serves."""
+
+    def __init__(self, rng):
+        self.gen, self.requests = rng.generator(), []
+
+    def generator(self):
+        return self
+
+    def standard_exponential(self, size):
+        self.requests.append(("standard_exponential", size))
+        return self.gen.standard_exponential(size)
+
+    def random(self, size):
+        self.requests.append(("random", size))
+        return self.gen.random(size)
+
+
+def test_simulate_chain_draws_block_by_block():
+    # about 40,000 jumps: blocks of 64, 128, ..., 16,384 draws (32,704 in all), then
+    # one block capped at 16,384, and no draw once the horizon is passed
+    stream = _RecordingDraws(RngStream(8))
+    path = simulate_chain(SYM2, GeneratorMatrix.zero(2), 1e-3, 0, 40.0, stream)
+    sizes = [64 * 2**b for b in range(9)] + [16_384]
+    assert stream.requests == [(kind, m) for m in sizes for kind in ("standard_exponential", "random")]
+    assert 32_704 < path.states.size - 1 <= 32_704 + 16_384
 
 
 def test_aggregate_path_identity_for_singletons():
