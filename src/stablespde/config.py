@@ -2,10 +2,9 @@
 
 Format: one ``key = value`` per line, ``#`` comments, values in Python literal
 syntax (reals, integers, lists, inline matrices as nested bracketed lists).
-Unknown keys are hard errors, and so is a key the scenario never reads when it is
-set to anything but its default.  The key schema is the field list of
-``ExperimentConfig`` below and is documented in the README.
-"""
+Unknown keys are hard errors, and so is a value off its default under a key that is
+neither harness-wide nor read by the constructors the scenario's commands call.
+The key schema is the field list of ``ExperimentConfig``, documented in the README."""
 
 from __future__ import annotations
 
@@ -18,11 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .averaging import ErgodicEstimatorConfig
-from .drifts import (
-    LinearRegimeDrift,
-    SaturatingCoupledDrift,
-    SaturatingRegimeDrift,
-)
+from .drifts import LinearRegimeDrift, SaturatingCoupledDrift, SaturatingRegimeDrift
 from .spectral import SpectralOperator
 from .stable_noise import NoiseWeights, PowerLawRule
 from .switching import ClassPartition, GeneratorMatrix
@@ -83,23 +78,16 @@ class ExperimentConfig:
     n_batches: int = 10
     checkpoints: int = 10
 
-    # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Reject malformed input with a ConfigError naming the key, then build
-        every object the scenario's commands use; assumptions are ``run_check``'s."""
+        """Reject malformed input with a ConfigError naming the key (assumptions are
+        ``run_check``'s), then build every object the scenario's commands use: a field those
+        builds never read must be harness-wide or at its default, not echoed as if used."""
         for f in fields(self):
             _check_type(f.name, f.type, getattr(self, f.name))
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; pick one of {SCENARIOS}")
-        for key in _UNREAD[self.scenario]:
-            default = getattr(_DEFAULTS, key)
-            if getattr(self, key) != default:
-                raise ConfigError(f"{key} is not read by scenario {self.scenario}; "
-                                  f"leave it out or at its default {default!r}")
         if not 1.0 < self.alpha <= 2.0:
             raise ConfigError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if not 1.0 < self.beta <= 2.0:
-            raise ConfigError(f"beta must lie in (1, 2], got {self.beta}")
         if not 1.0 < self.p < self.alpha:
             raise ConfigError(f"p must lie in (1, alpha), got p={self.p}, alpha={self.alpha}")
         with _naming("eps_grid"):
@@ -125,20 +113,33 @@ class ExperimentConfig:
             raise ConfigError(f"scenario {self.scenario} requires qtilde")
         if self.scenario == "switching-multiclass" and self.partition is None:
             raise ConfigError("switching-multiclass requires partition")
-        k, eps_min = self.k_trunc, float(eps.min())
-        _bound("T / dt grid points x k_trunc modes", (n_steps + 1) * k)
+        _bound("T / dt grid points x k_trunc modes", (n_steps + 1) * self.k_trunc)
         _bound("n_paths x eps_grid entries", self.n_paths * eps.size)
 
+        reading = _Reading(**vars(self))
+        reading.read = set(_HARNESS_WIDE)
+        reading._build(n_steps, float(eps.min()))
+        for key, value in vars(self).items():
+            if key not in reading.read and value != getattr(_DEFAULTS, key):
+                raise ConfigError(f"{key} is not read by scenario {self.scenario} as configured; "
+                                  f"leave it out or at its default {getattr(_DEFAULTS, key)!r}")
+
+    def _build(self, n_steps: float, eps_min: float) -> None:
+        """Build every object the scenario's commands use, checking what they need."""
+        k = self.k_trunc
         self.op_a(), self.weights_l(), self.initial_state()
         if self.scenario == "fast-slow":
+            if not 1.0 < self.beta <= 2.0:
+                raise ConfigError(f"beta must lie in (1, 2], got {self.beta}")
             with _naming("c_sub"):  # the count the solve takes
                 n_sub = fast_substeps(self.dt, eps_min, self.c_sub)
             _bound("fast substeps T / (c_sub x min eps_grid) x k_trunc modes", n_steps * n_sub * k)
-            self.weights_z(), self.initial_fast_state()
+            self.weights_z(), self.initial_fast_state(), self.slow_coupled_drift()
             mixing = self.op_b().lambda_1 - self.fast_coupled_drift().grad_y_bound
+            estimator = self.estimator_config()
             if mixing > 0:  # else the ergodicity condition fails and nothing is estimated
                 with _naming("est_burn_in, est_horizon"):
-                    _, horizon = self.estimator_config().resolve(mixing)
+                    _, horizon = estimator.resolve(mixing)
                 _bound("est_horizon / est_dt steps x k_trunc", np.ceil(horizon / self.est_dt) * k)
             return
         qt, qh = self.generator_pair()
@@ -230,10 +231,9 @@ class ExperimentConfig:
             raise ConfigError("bounded-saturating drift requires drift_gains")
         with _naming("drift_gains"):
             gains = _reals(self.drift_gains)
-        if self.drift_offsets is None:
-            return SaturatingRegimeDrift(gains, np.zeros(gains.size))
         with _naming("drift_offsets"):
-            return SaturatingRegimeDrift(gains, _reals(self.drift_offsets))
+            offsets = np.zeros(gains.size) if self.drift_offsets is None else self.drift_offsets
+            return SaturatingRegimeDrift(gains, _reals(offsets))
 
     def slow_coupled_drift(self) -> SaturatingCoupledDrift:
         return SaturatingCoupledDrift(self.slow_gain_x, self.slow_gain_y, self.slow_offset)
@@ -290,17 +290,9 @@ def _reals(value, shape=None) -> np.ndarray:
 
 _FIELDS = {f.name for f in fields(ExperimentConfig)}
 _DEFAULTS = ExperimentConfig()
-# keys a scenario never reads; a value other than the default would be echoed as if used
-_FAST_SLOW_ONLY = ("beta", "operator_b", "noise_z", "y0", "slow_gain_x", "slow_gain_y",
-                   "slow_offset", "fast_gain_y", "c_sub", "est_dt", "est_burn_in",
-                   "est_horizon", "est_reps")
-_SWITCHING_ONLY = ("qtilde", "qhat", "partition", "r0", "drift", "drift_coeffs", "drift_gains",
-                   "drift_offsets")
-_UNREAD = {
-    "switching-single": _FAST_SLOW_ONLY + ("partition",),
-    "switching-multiclass": _FAST_SLOW_ONLY,
-    "fast-slow": _SWITCHING_ONLY,
-}
+# keys every scenario reads; validate records which of the others its builds read
+_HARNESS_WIDE = {"scenario", "alpha", "theta", "p", "k_trunc", "T", "dt", "n_paths", "seed",
+                 "eps_grid", "n_batches", "checkpoints"}
 _POSITIVE = ("T", "dt", "c_sub", "est_dt", "est_horizon")
 _AT_LEAST = {"k_trunc": 1, "n_paths": 1, "seed": 0, "n_batches": 2, "checkpoints": 1,
              "est_reps": 1, "est_burn_in": 0}
@@ -317,6 +309,15 @@ def _check_type(key: str, annotation: str, value) -> None:
         raise ConfigError(f"{key} must be {' or '.join(kinds)}, got {value!r}")
 
 
+class _Reading(ExperimentConfig):
+    """A config that records in ``read`` the name of each field looked up on it."""
+
+    def __getattribute__(self, name):
+        if name in _FIELDS:
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value format; unknown keys and bad literals are errors."""
     cfg = ExperimentConfig()
@@ -327,8 +328,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in ("scenario", "drift"):

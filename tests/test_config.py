@@ -172,3 +172,21 @@ def test_size_gate_counts_the_fast_substeps_the_solve_takes():
     )
     cfg = parse_config((CONFIG_DIR / "fast_slow.cfg").read_text() + extra)
     assert cfg.k_trunc == 450000
+
+
+@pytest.mark.parametrize(
+    "preset, lines, key",
+    [
+        ("switching_single.cfg", "drift_offsets = [5.0, 7.0]", "drift_offsets"),
+        ("switching_single.cfg", f"x0 = {[0.5] * 20}\nx0_decay = 7.0", "x0_decay"),
+        ("switching_multiclass.cfg", "drift_coeffs = [0.1, 0.2, 0.3, 0.4]", "drift_coeffs"),
+        ("fast_slow.cfg", "r0 = 2", "r0"),
+    ],
+    ids=["drift_offsets_on_linear", "x0_decay_beside_x0", "drift_coeffs_on_saturating",
+         "r0_on_fast_slow"],
+)
+def test_unread_key_is_refused_naming_key_and_scenario(preset, lines, key):
+    text = (CONFIG_DIR / preset).read_text() + lines + "\n"
+    scenario = load_config(CONFIG_DIR / preset).scenario
+    with pytest.raises(ConfigError, match=f"^{key} is not read by scenario {scenario}"):
+        parse_config(text)

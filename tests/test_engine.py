@@ -1,4 +1,6 @@
+import itertools
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -508,3 +510,54 @@ def test_noise_of_the_wrong_shape_rejected():
         solve_averaged_spde(np.zeros(4), drift, OP3, W3, 1.5, grid, np.zeros((5, 3)))
     with pytest.raises(ValueError, match="eps must be positive"):
         solve_fast_slow(*pair, 1.5, 1.5, 0.0, *grid_and_noise)
+
+
+# Mode separability: each spectral mode evolves on its own, so modes 1..K of a 2K-mode
+# solve whose extra modes get their own noise columns are the K-mode solve, bit for bit.
+# Exact batching of paths into one array rests on the same fact.
+K_NARROW = 20
+
+
+def _narrow_and_wide(cfg):
+    """``cfg`` at K_NARROW modes and at twice that many."""
+    return [replace(cfg, k_trunc=k) for k in (K_NARROW, 2 * K_NARROW)]
+
+
+@pytest.mark.parametrize("preset", ["switching_single.cfg", "switching_multiclass.cfg"],
+                         ids=["linear_drift", "saturating_drift"])
+def test_wider_switching_solve_keeps_the_narrow_solve_bit_for_bit(preset):
+    cfg = load_config(CONFIG_DIR / preset)
+    qt, qh = cfg.generator_pair()
+    grid = np.linspace(0.0, cfg.T, round(cfg.T / cfg.dt) + 1)
+    jumps = 0
+    for j, eps in itertools.product(range(3), cfg.eps_grid):
+        stream = RngStream(cfg.seed, j)
+        chain = simulate_chain(qt, qh, eps, cfg.r0 - 1, cfg.T, stream.substream(CHAIN_TAG))
+        jumps += chain.times.size - 1
+        noise = slow_noise(stream, grid, 2 * K_NARROW, cfg.alpha)
+        narrow, wide = (
+            solve_switching_spde(c.initial_state(), c.regime_drift(), c.op_a(), c.weights_l(),
+                                 cfg.alpha, chain, grid, noise[:, : c.k_trunc])
+            for c in _narrow_and_wide(cfg)
+        )
+        assert np.array_equal(wide.states[:, :K_NARROW], narrow.states)
+    assert jumps > 0
+
+
+def test_wider_fast_slow_solve_keeps_the_narrow_solve_bit_for_bit():
+    cfg = load_config(CONFIG_DIR / "fast_slow.cfg")
+    slow, fast = cfg.slow_coupled_drift(), cfg.fast_coupled_drift()
+    grid = np.linspace(0.0, cfg.T, round(cfg.T / cfg.dt) + 1)
+    for j, eps in itertools.product(range(3), cfg.eps_grid):
+        stream = RngStream(cfg.seed, j)
+        noise = slow_noise(stream, grid, 2 * K_NARROW, cfg.alpha)
+        n_sub = fast_substeps(cfg.dt, eps, cfg.c_sub)
+        noise_z = fast_noise(stream, grid, n_sub, 2 * K_NARROW, cfg.beta)
+        narrow, wide = (
+            solve_fast_slow(c.initial_state(), c.initial_fast_state(), slow, fast, c.op_a(),
+                            c.op_b(), c.weights_l(), c.weights_z(), cfg.alpha, cfg.beta, eps,
+                            grid, noise[:, : c.k_trunc], noise_z[..., : c.k_trunc])
+            for c in _narrow_and_wide(cfg)
+        )
+        assert np.array_equal(wide.states[:, :K_NARROW], narrow.states)
+        assert np.array_equal(wide.fast_states[:, :K_NARROW], narrow.fast_states)

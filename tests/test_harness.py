@@ -45,6 +45,8 @@ drift_coeffs = [0.3, 0.9]
 """
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# an explicit initial state for the 20-mode presets
+X0_20 = str([0.5] * 20)
 
 SMALL_FAST_SLOW = """
 scenario = "fast-slow"
@@ -559,6 +561,15 @@ MALFORMED = [
                  id="qtilde_unread"),
     pytest.param("fast_slow.cfg", "drift_coeffs = ['a']", [], "drift_coeffs", "freeze",
                  id="drift_coeffs_unread"),
+    # keys the drift kind or the initial-state form never reads: each passed the same way
+    pytest.param("switching_single.cfg", "drift_offsets = [5.0, 7.0]", [], "drift_offsets",
+                 "converge", id="drift_offsets_on_linear_drift"),
+    pytest.param("switching_single.cfg", "drift_gains = [1.0, 2.0]", [], "drift_gains",
+                 "converge", id="drift_gains_on_linear_drift"),
+    pytest.param("switching_single.cfg", f"x0 = {X0_20}\nx0_decay = 7.0", [], "x0_decay",
+                 "converge", id="x0_decay_beside_explicit_x0"),
+    pytest.param("switching_multiclass.cfg", "drift_coeffs = [0.1, 0.2, 0.3, 0.4]", [],
+                 "drift_coeffs", "aggregate", id="drift_coeffs_on_saturating_drift"),
 ]
 
 
@@ -604,8 +615,11 @@ def test_cli_command_on_another_scenario_is_input_error(tmp_path, capsys, comman
         ),
         ("fast_slow.cfg", "fast_gain_y = 1.5", "ergodicity condition K3 < mu_1",
          ["freeze", "converge", "simulate"]),
+        # the estimator keys count as read although nothing is estimated
+        ("fast_slow.cfg", "fast_gain_y = 1.5\nest_reps = 8\nest_burn_in = 1.0",
+         "ergodicity condition K3 < mu_1", ["freeze", "converge", "simulate"]),
     ],
-    ids=["single", "multiclass", "fast_slow_not_ergodic"],
+    ids=["single", "multiclass", "fast_slow_not_ergodic", "fast_slow_not_ergodic_est_keys"],
 )
 def test_cli_reducible_qtilde_is_condition_failure(
     tmp_path, capsys, preset, lines, condition, commands
@@ -623,6 +637,27 @@ def test_cli_reducible_qtilde_is_condition_failure(
         assert cli.main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("condition failure:")
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "preset, lines",
+    [
+        ("fast_slow.cfg", "beta = 1.7"),
+        ("fast_slow.cfg", "slow_gain_x = 0.7"),
+        ("fast_slow.cfg", "slow_offset = 0.1"),
+        ("fast_slow.cfg", f"x0 = {X0_20}"),
+        ("fast_slow.cfg", f"y0 = {X0_20}"),
+        ("switching_single.cfg", f"x0 = {X0_20}"),
+        ("switching_single.cfg", "qhat = [[-0.5, 0.5], [0.5, -0.5]]\nr0 = 2"),
+    ],
+    ids=["beta", "slow_gain_x", "slow_offset", "fast_slow_x0", "y0", "single_x0", "qhat_r0"],
+)
+def test_cli_keys_the_scenario_reads_pass_check(tmp_path, preset, lines):
+    # each key is read by a constructor the scenario's commands call, so none is refused
+    path = tmp_path / preset
+    path.write_text((CONFIG_DIR / preset).read_text() + lines + "\n", encoding="utf-8")
+    args = ["check", "--config", str(path), "--out", str(tmp_path / "o"), "--quiet"]
+    assert cli.main(args) == 0
 
 
 def _cli_subprocess(*args):
