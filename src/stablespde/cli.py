@@ -122,19 +122,15 @@ _COMMANDS = {
 
 
 def _run(args) -> int:
-    """Load and validate, run the subcommand, write its files, print its lines.
+    """Load the config, ``--seed``/``--paths`` replacing its values before the one validation;
+    run the subcommand, write its files, print its lines.
 
     Every condition that failed makes exit code 1; only ``check`` returns
     with one, the other experiments raise ConditionError before running,
     ``converge`` and ``simulate`` also when their results are not finite, and
     ``aggregate`` when a class has no occupation time.
     """
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.paths is not None:
-        cfg.n_paths = args.paths
-    cfg.validate()
+    cfg = load_config(args.config, args.seed, args.paths)
     out = Path(args.out)
     if out.exists() and not out.is_dir():
         raise ConfigError(f"--out {out} exists and is not a directory")

@@ -318,8 +318,9 @@ class _Reading(ExperimentConfig):
         return object.__getattribute__(self, name)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key = value format; unknown keys and bad literals are errors."""
+def parse_config(text: str, seed=None, n_paths=None) -> ExperimentConfig:
+    """Parse the flat key = value format; unknown keys and bad literals are errors.  ``seed``
+    and ``n_paths``, when given, replace the file's values before the one validation."""
     cfg = ExperimentConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -339,10 +340,14 @@ def parse_config(text: str) -> ExperimentConfig:
             except (ValueError, SyntaxError, TypeError) as exc:
                 raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {exc}") from exc
         setattr(cfg, key, parsed)
+    if seed is not None:
+        cfg.seed = seed
+    if n_paths is not None:
+        cfg.n_paths = n_paths
     cfg.validate()
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, seed=None, n_paths=None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), seed, n_paths)

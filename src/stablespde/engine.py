@@ -105,8 +105,8 @@ def _mild_solve(
     grid,
     noise: np.ndarray,
     chain: ChainPath | None = None,
-) -> np.ndarray:
-    """The exponential-Euler loop shared by every single-field solve: its states on ``grid``.
+) -> TrajectoryRecord:
+    """The exponential-Euler loop shared by every single-field solve: its record on ``grid``.
 
     Row i of ``noise`` drives grid step i.  Without a chain ``drift`` maps
     state to state; with one it is called as drift(x, regime) and sub-steps at
@@ -127,7 +127,7 @@ def _mild_solve(
         for i in range(grid.size - 1):
             x = plan.decay * x + drift(x) * plan.drift_factor + kicks[i]
             out[i + 1] = x
-        return out
+        return TrajectoryRecord(grid, out)
     lam, times = op.eigenvalues, chain.times
     pts = np.union1d(grid, times[(times > grid[0]) & (times < grid[-1])])
     first = np.searchsorted(pts, grid)
@@ -142,7 +142,7 @@ def _mild_solve(
             x = decay[j] * x + drift(x, regimes[j]) * factor[j]
         x = x + kicks[i]
         out[i + 1] = x
-    return out
+    return TrajectoryRecord(grid, out)
 
 
 def solve_switching_spde(
@@ -159,8 +159,7 @@ def solve_switching_spde(
 
     ``drift`` is called as drift(x, regime); ``noise`` holds one row per grid step.
     """
-    states = _mild_solve(x0, drift, op_a, w_l, alpha, grid, noise, chain)
-    return TrajectoryRecord(np.asarray(grid, dtype=float), states)
+    return _mild_solve(x0, drift, op_a, w_l, alpha, grid, noise, chain)
 
 
 def solve_averaged_spde(
@@ -173,8 +172,7 @@ def solve_averaged_spde(
     noise: np.ndarray,
 ) -> TrajectoryRecord:
     """Mild stepper for the averaged field; ``averaged_drift`` maps state to state."""
-    states = _mild_solve(x0, averaged_drift, op_a, w_l, alpha, grid, noise)
-    return TrajectoryRecord(np.asarray(grid, dtype=float), states)
+    return _mild_solve(x0, averaged_drift, op_a, w_l, alpha, grid, noise)
 
 
 def solve_frozen_fast(
@@ -189,8 +187,7 @@ def solve_frozen_fast(
 ) -> TrajectoryRecord:
     """Fast field with the slow variable frozen at ``z`` (no time-scale factor)."""
     _check_ergodic(fast_drift, op_b)
-    states = _mild_solve(y0, fast_drift.frozen(z), op_b, w_z, beta, grid, noise)
-    return TrajectoryRecord(np.asarray(grid, dtype=float), states)
+    return _mild_solve(y0, fast_drift.frozen(z), op_b, w_z, beta, grid, noise)
 
 
 def solve_fast_slow(

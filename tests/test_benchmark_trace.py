@@ -49,6 +49,8 @@ def test_traced_converge_counts_every_variate(tmp_path):
     # switching_single: T = 1, dt = 0.02, k_trunc = 20; each path draws its slow noise once
     assert m["stable_noise.variates"] == 3 * 50 * 20
     assert m["switching.chains"] == 3 * 5
+    # the tracer's config.load span wraps cli.load_config, which every command calls once
+    assert m["config.load_s"] > 0
 
 
 def test_traced_freeze_counts_every_variate(tmp_path):

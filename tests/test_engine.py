@@ -81,7 +81,17 @@ def test_convolution_scale_composition_identity():
     for alpha, lam, h in [(1.5, 2.0, 0.1), (2.0, 1.0, 0.5), (1.3, 9.0, 0.02)]:
         s1 = convolution_scale(1.0, lam, alpha, h) ** alpha
         s2 = convolution_scale(1.0, lam, alpha, 2 * h) ** alpha
-        assert s2 == pytest.approx(np.exp(-alpha * lam * h) * s1 + s1, rel=1e-12)
+        assert s2 == pytest.approx(np.exp(-alpha * lam * h) * s1 + s1, rel=1e-14, abs=0)
+    # m substeps: sigma(h)^alpha = sum_{l<m} e^{-alpha lam l h/m} sigma(h/m)^alpha, on the rod
+    # and on the fast plan's operator, the rod over eps = 0.005
+    rod = rod_operator(20).eigenvalues
+    for alpha, h, lam, m in itertools.product(
+        (1.1, 1.3, 1.5, 1.8, 2.0), (0.05, 0.02, 0.01, 1e-3), (rod, rod / 0.005), (2, 3, 8, 40)
+    ):
+        whole = convolution_scale(1.0, lam, alpha, h) ** alpha
+        sub = convolution_scale(1.0, lam, alpha, h / m) ** alpha
+        decays = np.exp(-alpha * lam * np.arange(m)[:, None] * h / m)
+        assert whole == pytest.approx((decays * sub).sum(axis=0), rel=1e-14, abs=0)
 
 
 def test_one_step_gaussian_ou_law():

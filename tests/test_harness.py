@@ -422,6 +422,49 @@ def test_cli_paths_flag_matches_n_paths_in_config(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "lines, flags, stated",
+    [
+        ("n_paths = 100000000", ["--paths", "3"], "n_paths = 3"),
+        ("n_paths = 3\nseed = -3", ["--seed", "7"], "n_paths = 3\nseed = 7"),
+    ],
+    ids=["paths_over_huge_n_paths", "seed_over_negative_seed"],
+)
+def test_cli_flag_replaces_the_file_value_before_the_gate(tmp_path, lines, flags, stated):
+    # the file's value alone fails the gate; with the flag the run is the file stating the flag's
+    preset = (CONFIG_DIR / "switching_single.cfg").read_text(encoding="utf-8")
+    flagged, plain = tmp_path / "flagged.cfg", tmp_path / "plain.cfg"
+    flagged.write_text(preset + lines + "\n", encoding="utf-8")
+    plain.write_text(preset + stated + "\n", encoding="utf-8")
+    for command, csvs in [("check", []), ("converge", ["converge.csv"])]:
+        a, b = tmp_path / command / "flagged", tmp_path / command / "plain"
+        args = [command, "--quiet", "--config"]
+        assert cli.main(args + [str(flagged), *flags, "--out", str(a)]) == 0
+        assert cli.main(args + [str(plain), "--out", str(b)]) == 0
+        for name in csvs + ["summary.json"]:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["check", "converge"])
+def test_cli_loads_and_validates_the_config_once(small_cfg_file, tmp_path, monkeypatch, command):
+    calls = {"load": 0, "validate": 0}
+    load, validate = cli.load_config, ExperimentConfig.validate
+
+    def counted_load(*args):
+        calls["load"] += 1
+        return load(*args)
+
+    def counted_validate(cfg):
+        calls["validate"] += 1
+        return validate(cfg)
+
+    monkeypatch.setattr(cli, "load_config", counted_load)
+    monkeypatch.setattr(ExperimentConfig, "validate", counted_validate)
+    args = [command, "--config", str(small_cfg_file), "--seed", "3", "--paths", "4", "--quiet"]
+    assert cli.main(args + ["--out", str(tmp_path / "o")]) == 0
+    assert calls == {"load": 1, "validate": 1}
+
+
 def test_cli_paths_flag_is_validated(small_cfg_file, tmp_path, capsys):
     args = ["converge", "--config", str(small_cfg_file), "--paths", "0", "--quiet"]
     assert cli.main(args + ["--out", str(tmp_path / "o")]) == 2
