@@ -29,13 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-time-scale stable-noise SPDE simulation harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-        ("check", "reject malformed input, then evaluate every standing assumption"),
-        ("simulate", "dump one seeded trajectory"),
-        ("converge", "coupled eps-sweep with rate fit"),
-        ("freeze", "frozen-equation averaged-drift estimates and decay probe"),
-        ("aggregate", "multiclass aggregation diagnostics"),
-    ]:
+    for name, (_, help_) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -112,12 +106,13 @@ def _simulate(cfg, out):
     return checked, {"simulate.csv": (header, rows)}, {}, [line]
 
 
+# subcommand -> (adapter, help), in the order --help lists them
 _COMMANDS = {
-    "check": _check,
-    "simulate": _simulate,
-    "converge": _converge,
-    "freeze": _freeze,
-    "aggregate": _aggregate,
+    "check": (_check, "reject malformed input, then evaluate every standing assumption"),
+    "simulate": (_simulate, "dump one seeded trajectory"),
+    "converge": (_converge, "coupled eps-sweep with rate fit"),
+    "freeze": (_freeze, "frozen-equation averaged-drift estimates and decay probe"),
+    "aggregate": (_aggregate, "multiclass aggregation diagnostics"),
 }
 
 
@@ -134,7 +129,7 @@ def _run(args) -> int:
     out = Path(args.out)
     if out.exists() and not out.is_dir():
         raise ConfigError(f"--out {out} exists and is not a directory")
-    (report, checks), csvs, extra, lines = _COMMANDS[args.command](cfg, out)
+    (report, checks), csvs, extra, lines = _COMMANDS[args.command][0](cfg, out)
     out.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in csvs.items():
         harness.write_csv(out / name, header, rows)

@@ -1,7 +1,8 @@
 """Experiment configuration: flat key = value files with typed keys.
 
-Format: one ``key = value`` per line, ``#`` comments, values in Python literal
-syntax (reals, integers, lists, inline matrices as nested bracketed lists).
+Format: one ``key = value`` per line, ``#`` comments, every value one Python literal
+(quoted strings, reals, integers, lists, inline matrices as nested bracketed lists), so
+``scenario = "fast-slow"`` is quoted and an unquoted string is an error naming its key.
 Unknown keys are hard errors, and so is a value off its default under a key that is
 neither harness-wide nor read by the constructors the scenario's commands call.
 The key schema is the field list of ``ExperimentConfig``, documented in the README."""
@@ -332,13 +333,11 @@ def parse_config(text: str, seed=None, n_paths=None) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in ("scenario", "drift"):
-            parsed = value.strip("\"'")
-        else:
-            try:
-                parsed = ast.literal_eval(value)
-            except (ValueError, SyntaxError, TypeError) as exc:
-                raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {exc}") from exc
+        try:
+            parsed = ast.literal_eval(value)
+        except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError) as exc:
+            reason = str(exc) or "the parser ran out of memory"  # a MemoryError has no message
+            raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {reason}") from exc
         setattr(cfg, key, parsed)
     if seed is not None:
         cfg.seed = seed

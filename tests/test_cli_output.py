@@ -169,3 +169,42 @@ def test_quiet_prints_nothing(tmp_path, capsys, command, preset):
     assert rc == 0
     assert lines == []
     assert (out / "summary.json").exists()
+
+
+# subcommands with their help strings, in the order --help lists them
+COMMAND_HELP = [
+    ("check", "reject malformed input, then evaluate every standing assumption"),
+    ("simulate", "dump one seeded trajectory"),
+    ("converge", "coupled eps-sweep with rate fit"),
+    ("freeze", "frozen-equation averaged-drift estimates and decay probe"),
+    ("aggregate", "multiclass aggregation diagnostics"),
+]
+FLAG_HELP = [
+    "--config CONFIG path to the experiment config",
+    "--seed SEED override the config seed",
+    "--out OUT output directory",
+    "--paths PATHS override n_paths",
+    "--quiet",
+]
+
+
+def _help(capsys, argv):
+    """The help ``argv`` prints, whitespace normalised (argparse wraps at the terminal width)."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_help_lists_every_subcommand_in_order(capsys):
+    text = _help(capsys, ["--help"])
+    assert "{" + ",".join(name for name, _ in COMMAND_HELP) + "}" in text
+    assert " ".join(f"{name} {help_}" for name, help_ in COMMAND_HELP) in text
+
+
+@pytest.mark.parametrize("command", [name for name, _ in COMMAND_HELP])
+def test_subcommand_help_lists_every_flag(capsys, command):
+    text = _help(capsys, [command, "--help"])
+    assert text.startswith(f"usage: stablespde {command} ")
+    for flag in FLAG_HELP:
+        assert flag in text

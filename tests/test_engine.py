@@ -26,6 +26,7 @@ from stablespde.engine import (
     solve_frozen_fast,
     solve_switching_spde,
 )
+from stablespde.harness import _averaged_system, _eps_system, _time_grid
 from stablespde.rng import CHAIN_TAG, L_NOISE_TAG, Z_NOISE_TAG, RngStream
 from stablespde.spectral import SpectralOperator, rod_operator
 from stablespde.stable_noise import (
@@ -571,3 +572,25 @@ def test_wider_fast_slow_solve_keeps_the_narrow_solve_bit_for_bit():
         )
         assert np.array_equal(wide.states[:, :K_NARROW], narrow.states)
         assert np.array_equal(wide.fast_states[:, :K_NARROW], narrow.fast_states)
+
+
+# Truncation budget: doubling k_trunc moves the terminal pair error E|err|^p by under 1%.
+# The 40-mode pair extends the 20-mode one on the same chain and the same noise columns.
+@pytest.mark.parametrize("preset", ["switching_single.cfg", "switching_multiclass.cfg"],
+                         ids=["linear_drift", "saturating_drift"])
+def test_doubling_k_trunc_moves_the_pair_error_under_one_percent(preset):
+    cfg = load_config(CONFIG_DIR / preset)
+    grid = _time_grid(cfg)
+    pairs = [(c.k_trunc, _eps_system(c, grid), _averaged_system(c, grid))
+             for c in _narrow_and_wide(cfg)]
+    err_p = np.empty((2, len(cfg.eps_grid), 40))  # (width, eps, path)
+    for j in range(40):
+        stream = RngStream(cfg.seed, j)
+        noise = slow_noise(stream, grid, 2 * K_NARROW, cfg.alpha)
+        for w, (k, solve_eps, solve_bar) in enumerate(pairs):
+            for e, eps in enumerate(cfg.eps_grid):
+                rec, chain = solve_eps(eps, stream, noise[:, :k])
+                err = rec.states[-1] - solve_bar(chain, noise[:, :k]).states[-1]
+                err_p[w, e, j] = np.linalg.norm(err) ** cfg.p
+    narrow, wide = err_p.mean(axis=2)
+    assert np.all(np.abs(wide / narrow - 1.0) < 0.01)

@@ -512,8 +512,18 @@ def test_cli_initial_state_out_of_range_is_input_error(tmp_path, capsys, command
         ('eps_grid = [0.1, "a"]', "eps_grid"),
         ("k_trunc = 2.5", "k_trunc"),
         ("r0 = 1.0", "r0"),
+        # a string is a quoted literal like any other value
+        ("scenario = switching-single", "scenario"),
+        ("scenario = \"switching-single'", "scenario"),
+        ("drift = linear-reaction", "drift"),
+        # literals that exhaust the parser (RecursionError, MemoryError)
+        ("seed = " + "-" * 5000 + "1", "seed"),
+        ("seed = " + "-" * 20000 + "1", "seed"),
+        ("eps_grid = [" + "+".join(["1"] * 10000) + "]", "eps_grid"),
     ],
-    ids=["alpha_text", "eps_grid_scalar", "eps_grid_text_entry", "k_trunc_real", "r0_real"],
+    ids=["alpha_text", "eps_grid_scalar", "eps_grid_text_entry", "k_trunc_real", "r0_real",
+         "scenario_unquoted", "scenario_mismatched_quotes", "drift_unquoted",
+         "seed_deep_unary", "seed_deeper_unary", "eps_grid_long_sum"],
 )
 def test_cli_mistyped_value_is_input_error(tmp_path, capsys, line, key):
     path = tmp_path / "typo.cfg"
