@@ -18,7 +18,7 @@ from .stable_noise import NoiseWeights
 from .switching import ClassPartition
 from .engine import draw_noise, solve_frozen_fast
 
-_N_BATCHES = 10  # batch means per replication in the estimator's standard error
+N_BATCHES = 10  # batches of every batch-means SE: the estimator's and harness.p_moment's
 
 
 def nu_average_drift(drift, nu: np.ndarray):
@@ -59,8 +59,8 @@ class ErgodicEstimatorConfig:
             raise ValueError("mixing rate must be positive")
         burn = self.burn_in if self.burn_in is not None else 3.0 / mixing_rate
         horizon = self.horizon if self.horizon is not None else 30.0 / mixing_rate
-        if (horizon - burn) / self.dt < _N_BATCHES:  # else a batch of the SE is empty
-            raise ValueError(f"averaging horizon must exceed the burn-in by {_N_BATCHES} dt steps")
+        if (horizon - burn) / self.dt < N_BATCHES:  # else a batch of the SE is empty
+            raise ValueError(f"averaging horizon must exceed the burn-in by {N_BATCHES} dt steps")
         return burn, horizon
 
 
@@ -91,11 +91,9 @@ def estimate_ergodic_drift(
     (estimate, standard error) per mode; the SE combines batch means within
     replications across independent replications.
     """
-    mixing = op_b.lambda_1 - fast_drift.grad_y_bound
-    burn, horizon = config.resolve(mixing)
+    burn, horizon = config.resolve(fast_drift.mixing_rate(op_b))
     z = np.asarray(z, dtype=float)
-    if y0 is None:
-        y0 = np.zeros(op_b.k_trunc)
+    y0 = np.zeros(op_b.k_trunc) if y0 is None else y0
     n_steps = int(np.ceil(horizon / config.dt))
     grid = np.linspace(0.0, n_steps * config.dt, n_steps + 1)
     keep = grid > burn
@@ -105,9 +103,9 @@ def estimate_ergodic_drift(
         states = states[keep]
         values = np.broadcast_to(observable(z, states), states.shape)
         rep_means.append(values.mean(axis=0))
-        batches = np.array_split(values, _N_BATCHES, axis=0)
+        batches = np.array_split(values, N_BATCHES, axis=0)
         bm = np.array([b.mean(axis=0) for b in batches])
-        batch_vars.append(bm.var(axis=0, ddof=1) / _N_BATCHES)
+        batch_vars.append(bm.var(axis=0, ddof=1) / N_BATCHES)
     estimate = np.mean(rep_means, axis=0)
     se = np.sqrt(np.mean(batch_vars, axis=0) / config.n_reps)
     return estimate, se

@@ -75,9 +75,6 @@ class ExperimentConfig:
     est_burn_in: float | None = None
     est_horizon: float | None = None
     est_reps: int = 4
-    # harness knobs
-    n_batches: int = 10
-    checkpoints: int = 10
 
     def validate(self) -> None:
         """Reject malformed input with a ConfigError naming the key (assumptions are
@@ -136,7 +133,7 @@ class ExperimentConfig:
                 n_sub = fast_substeps(self.dt, eps_min, self.c_sub)
             _bound("fast substeps T / (c_sub x min eps_grid) x k_trunc modes", n_steps * n_sub * k)
             self.weights_z(), self.initial_fast_state(), self.slow_coupled_drift()
-            mixing = self.op_b().lambda_1 - self.fast_coupled_drift().grad_y_bound
+            mixing = self.fast_coupled_drift().mixing_rate(self.op_b())
             estimator = self.estimator_config()
             if mixing > 0:  # else the ergodicity condition fails and nothing is estimated
                 with _naming("est_burn_in, est_horizon"):
@@ -293,10 +290,9 @@ _FIELDS = {f.name for f in fields(ExperimentConfig)}
 _DEFAULTS = ExperimentConfig()
 # keys every scenario reads; validate records which of the others its builds read
 _HARNESS_WIDE = {"scenario", "alpha", "theta", "p", "k_trunc", "T", "dt", "n_paths", "seed",
-                 "eps_grid", "n_batches", "checkpoints"}
+                 "eps_grid"}
 _POSITIVE = ("T", "dt", "c_sub", "est_dt", "est_horizon")
-_AT_LEAST = {"k_trunc": 1, "n_paths": 1, "seed": 0, "n_batches": 2, "checkpoints": 1,
-             "est_reps": 1, "est_burn_in": 0}
+_AT_LEAST = {"k_trunc": 1, "n_paths": 1, "seed": 0, "est_reps": 1, "est_burn_in": 0}
 # field annotation -> accepted Python types; bool is never a number here
 _KINDS = {"str": (str,), "int": (int,), "float": (int, float), "list": (list, tuple)}
 
@@ -337,6 +333,8 @@ def parse_config(text: str, seed=None, n_paths=None) -> ExperimentConfig:
             parsed = ast.literal_eval(value)
         except (ValueError, SyntaxError, TypeError, RecursionError, MemoryError) as exc:
             reason = str(exc) or "the parser ran out of memory"  # a MemoryError has no message
+            if isinstance(exc, ValueError):  # its text shows an AST node's memory address
+                reason = f"{value} is not a Python literal (a string needs quotes)"
             raise ConfigError(f"line {lineno}: cannot parse value for {key!r}: {reason}") from exc
         setattr(cfg, key, parsed)
     if seed is not None:

@@ -85,6 +85,10 @@ class SaturatingCoupledDrift:
     def grad_y_bound(self) -> float:
         return abs(self.gain_y)
 
+    def mixing_rate(self, op_b) -> float:
+        """mu_1 - K3: the frozen fast field's exponential mixing rate; ergodic iff positive."""
+        return op_b.lambda_1 - self.grad_y_bound
+
     def bound_for(self, k_trunc: int) -> float:
         return (abs(self.gain_x) + abs(self.gain_y) + abs(self.offset)) * np.sqrt(k_trunc)
 

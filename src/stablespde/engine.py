@@ -65,7 +65,7 @@ class TrajectoryRecord:
 
 
 def _check_ergodic(fast_drift, op_b: SpectralOperator) -> None:
-    if fast_drift.grad_y_bound >= op_b.lambda_1:
+    if fast_drift.mixing_rate(op_b) <= 0:
         raise ValueError("ergodicity requires the fast drift gradient bound below mu_1")
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import (
+    N_BATCHES,
     class_average_drift,
     estimate_ergodic_drift,
     ergodic_decay_probe,
@@ -99,13 +100,13 @@ def rate_fit(table: ErrorTable, theoretical: float) -> RateFit:
     return RateFit(float(slope), float(intercept), float(r2), theoretical)
 
 
-def p_moment(values: np.ndarray, p: float, n_batches: int = 10) -> tuple[float, float]:
+def p_moment(values: np.ndarray, p: float) -> tuple[float, float]:
     """(E v^p)^(1/p) with a batch-means standard error (delta method for the root)."""
     v = np.asarray(values, dtype=float) ** p
     m = v.mean()
     if m == 0:
         return 0.0, 0.0
-    batches = np.array_split(v, min(n_batches, v.size))
+    batches = np.array_split(v, min(N_BATCHES, v.size))
     bm = np.array([b.mean() for b in batches])
     se_m = bm.std(ddof=1) / math.sqrt(len(batches))
     return float(m ** (1.0 / p)), float(se_m / p * m ** (1.0 / p - 1.0))
@@ -149,9 +150,9 @@ def run_check(cfg: ExperimentConfig):
         except ValueError as exc:
             add("block irreducibility", False, str(exc))
     elif fast:
-        mu1 = cfg.op_b().lambda_1
-        k3 = cfg.fast_coupled_drift().grad_y_bound
-        add("ergodicity condition K3 < mu_1", k3 < mu1, f"K3 = {k3:g}, mu_1 = {mu1:g}")
+        op_b, fast_drift = cfg.op_b(), cfg.fast_coupled_drift()
+        add("ergodicity condition K3 < mu_1", fast_drift.mixing_rate(op_b) > 0,
+            f"K3 = {fast_drift.grad_y_bound:g}, mu_1 = {op_b.lambda_1:g}")
         bound = cfg.slow_coupled_drift().bound_for(cfg.k_trunc)
         add("slow drift uniformly bounded", np.isfinite(bound), f"M = {bound:.6g}")
         add(
@@ -187,9 +188,11 @@ def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
     return np.linspace(0.0, cfg.T, n + 1)
 
 
-def _checkpoint_idx(grid: np.ndarray, n_checkpoints: int) -> np.ndarray:
-    idx = np.linspace(1, grid.size - 1, n_checkpoints).astype(int)
-    return np.unique(np.append(idx[:-1], grid.size - 1))  # the last checkpoint is T
+_CHECKPOINTS = 10  # grid points of converge's sup error; linspace ends exactly at T
+
+
+def _checkpoint_idx(grid: np.ndarray) -> np.ndarray:
+    return np.unique(np.linspace(1, grid.size - 1, _CHECKPOINTS).astype(int))
 
 
 def _frozen_estimate(cfg: ExperimentConfig, z, observable, rng: RngStream, y0=None):
@@ -224,7 +227,7 @@ def _eps_system(cfg: ExperimentConfig, grid: np.ndarray):
         slow, fast, n = cfg.slow_coupled_drift(), cfg.fast_coupled_drift(), grid.size - 1
 
         def solve(eps, stream, noise):
-            shape = (n, fast_substeps(cfg.T / n, eps, cfg.c_sub), cfg.k_trunc)
+            shape = (n, fast_substeps(cfg.dt, eps, cfg.c_sub), cfg.k_trunc)
             noise_z = draw_noise(cfg.beta, stream.substream(Z_NOISE_TAG), *shape)
             return solve_fast_slow(x0, y0, slow, fast, op_a, op_b, w_l, w_z, cfg.alpha, cfg.beta,
                                    eps, grid, noise, noise_z), None
@@ -281,7 +284,7 @@ def run_converge(cfg: ExperimentConfig):
         raise ConfigError(f"converge needs n_paths >= 2 for a standard error, got {cfg.n_paths}")
     checked = _checked(cfg)
     grid = _time_grid(cfg)
-    chk = _checkpoint_idx(grid, cfg.checkpoints)
+    chk = _checkpoint_idx(grid)
     solve_eps, solve_bar = _eps_system(cfg, grid), _averaged_system(cfg, grid)
     # per (eps, path): terminal (0) and checkpoint-sup (1) H-norm of the pair's difference
     results = np.empty((len(cfg.eps_grid), cfg.n_paths, 2))
@@ -294,7 +297,7 @@ def run_converge(cfg: ExperimentConfig):
             norms = np.linalg.norm(diff[chk], axis=1)
             results[e, j] = norms[-1], norms.max()
     eps_arr = np.asarray(cfg.eps_grid, dtype=float)
-    moments = [np.array([p_moment(r[:, c], cfg.p, cfg.n_batches) for r in results]) for c in (0, 1)]
+    moments = [np.array([p_moment(r[:, c], cfg.p) for r in results]) for c in (0, 1)]
     finite = np.isfinite(results).all(axis=(1, 2)) & np.isfinite(moments).all(axis=(0, 2))
     if not finite.all():
         bad = ", ".join(f"{e:g}" for e in eps_arr[~finite])
@@ -356,8 +359,7 @@ def run_freeze(cfg: ExperimentConfig):
     comb = np.sqrt(se_a**2 + se_b**2)
     y0_gap_in_se = float(np.max(np.abs(est_a - est_b) / np.where(comb > 0, comb, np.inf)))
 
-    mixing = op_b.lambda_1 - fast.grad_y_bound
-    t_grid = np.linspace(0.0, 3.0 / mixing, 31)
+    t_grid = np.linspace(0.0, 3.0 / fast.mixing_rate(op_b), 31)
     decay = ergodic_decay_probe(
         x0, y_alt * 2.0, fast, slow, op_b, w_z, cfg.beta, t_grid, 400,
         RngStream(cfg.seed, DECAY_PROBE_STREAM), bbar=est_a,
@@ -442,9 +444,7 @@ def synthesize_point(coeffs: np.ndarray, x: float) -> float:
 
 def write_csv(path: Path, header: str, rows) -> None:
     """One line per row; str of a Python float is its shortest round-trip repr."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(map(str, row)))
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

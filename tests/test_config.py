@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,15 @@ def test_unknown_key_reports_line_number():
 def test_bad_literal_reports_key():
     with pytest.raises(ConfigError, match="cannot parse value for 'alpha'"):
         parse_config("alpha = one point five")
+
+
+def test_unquoted_string_names_the_value_not_an_ast_node():
+    # literal_eval's text for a bare name shows an AST node's memory address, new every run
+    with pytest.raises(ConfigError) as info:
+        parse_config("scenario = fast-slow")
+    message = str(info.value)
+    assert "fast-slow" in message and "quote" in message
+    assert not re.search(r"0x[0-9a-f]+", message)
 
 
 def test_missing_equals_rejected():

@@ -222,16 +222,20 @@ def test_fast_substep_scale_independent_of_eps():
 
 
 def test_fast_slow_requires_contractive_fast_drift():
-    op = rod_operator(2)
+    op = rod_operator(2)  # mu_1 = 1
     w = NoiseWeights.from_rule(PowerLawRule(1.0, -2.0), 2)
-    bad = SaturatingCoupledDrift(0.0, 2.0)  # K3 = 2 >= mu_1 = 1
     grid = np.linspace(0, 1, 11)
-    with pytest.raises(ValueError):
-        solve_fast_slow(
-            np.zeros(2), np.zeros(2), ZeroCoupledDrift(), bad, op, op, w, w,
-            1.5, 1.5, 0.1, grid, slow_noise(RngStream(0), grid, k=2),
-            fast_noise(RngStream(0), grid, k=2),
-        )
+    for gain_y in (2.0, 1.0):  # K3 above mu_1, and K3 = mu_1: a mixing rate of 0
+        bad = SaturatingCoupledDrift(0.0, gain_y)
+        with pytest.raises(ValueError, match="mu_1"):
+            solve_fast_slow(
+                np.zeros(2), np.zeros(2), ZeroCoupledDrift(), bad, op, op, w, w,
+                1.5, 1.5, 0.1, grid, slow_noise(RngStream(0), grid, k=2),
+                fast_noise(RngStream(0), grid, k=2),
+            )
+        with pytest.raises(ValueError, match="mu_1"):
+            solve_frozen_fast(np.zeros(2), np.zeros(2), bad, op, w, 1.5, grid,
+                              fast_noise(RngStream(0), grid, k=2)[:, 0])
 
 
 def test_fast_slow_stationary_mode_scale():
