@@ -21,6 +21,12 @@ from .engine import draw_noise, solve_frozen_fast
 N_BATCHES = 10  # batches of every batch-means SE: the estimator's and harness.p_moment's
 
 
+def batch_means(values: np.ndarray) -> np.ndarray:
+    """Means of ``values`` over at most N_BATCHES near-equal batches along axis 0."""
+    batches = np.array_split(values, min(N_BATCHES, len(values)), axis=0)
+    return np.array([b.mean(axis=0) for b in batches])
+
+
 def nu_average_drift(drift, nu: np.ndarray):
     """Stationary-weighted drift sum_i nu_i b(., i): one regime of ``drift``'s family."""
     nu = np.asarray(nu, dtype=float)
@@ -54,14 +60,16 @@ class ErgodicEstimatorConfig:
     horizon: float | None = None
     n_reps: int = 4
 
-    def resolve(self, mixing_rate: float) -> tuple[float, float]:
+    def resolve(self, mixing_rate: float) -> tuple[float, int]:
+        """(burn-in, n_steps): a replication steps n_steps = ceil(horizon / dt) times."""
         if mixing_rate <= 0:
             raise ValueError("mixing rate must be positive")
         burn = self.burn_in if self.burn_in is not None else 3.0 / mixing_rate
         horizon = self.horizon if self.horizon is not None else 30.0 / mixing_rate
-        if (horizon - burn) / self.dt < N_BATCHES:  # else a batch of the SE is empty
-            raise ValueError(f"averaging horizon must exceed the burn-in by {N_BATCHES} dt steps")
-        return burn, horizon
+        if (horizon - burn) / self.dt < N_BATCHES or not np.isfinite(horizon / self.dt):
+            raise ValueError(f"averaging horizon must be finite and exceed the burn-in by "
+                             f"{N_BATCHES} dt steps, one per batch of the SE")
+        return burn, int(np.ceil(horizon / self.dt))
 
 
 def _frozen_runs(z, y0, fast_drift, op_b, w_z, beta, grid, n_runs: int, rng: RngStream):
@@ -91,21 +99,17 @@ def estimate_ergodic_drift(
     (estimate, standard error) per mode; the SE combines batch means within
     replications across independent replications.
     """
-    burn, horizon = config.resolve(fast_drift.mixing_rate(op_b))
+    burn, n_steps = config.resolve(fast_drift.mixing_rate(op_b))
     z = np.asarray(z, dtype=float)
     y0 = np.zeros(op_b.k_trunc) if y0 is None else y0
-    n_steps = int(np.ceil(horizon / config.dt))
     grid = np.linspace(0.0, n_steps * config.dt, n_steps + 1)
-    keep = grid > burn
 
     rep_means, batch_vars = [], []
     for states in _frozen_runs(z, y0, fast_drift, op_b, w_z, beta, grid, config.n_reps, rng):
-        states = states[keep]
+        states = states[grid > burn]
         values = np.broadcast_to(observable(z, states), states.shape)
         rep_means.append(values.mean(axis=0))
-        batches = np.array_split(values, N_BATCHES, axis=0)
-        bm = np.array([b.mean(axis=0) for b in batches])
-        batch_vars.append(bm.var(axis=0, ddof=1) / N_BATCHES)
+        batch_vars.append(batch_means(values).var(axis=0, ddof=1) / N_BATCHES)
     estimate = np.mean(rep_means, axis=0)
     se = np.sqrt(np.mean(batch_vars, axis=0) / config.n_reps)
     return estimate, se

@@ -20,7 +20,7 @@ import numpy as np
 from .averaging import ErgodicEstimatorConfig
 from .drifts import LinearRegimeDrift, SaturatingCoupledDrift, SaturatingRegimeDrift
 from .spectral import SpectralOperator
-from .stable_noise import NoiseWeights, PowerLawRule
+from .stable_noise import NoiseWeights, PowerLawRule, check_alpha
 from .switching import ClassPartition, GeneratorMatrix
 
 
@@ -71,10 +71,10 @@ class ExperimentConfig:
     slow_offset: float = 0.0
     fast_gain_y: float = 0.5  # directional-derivative bound K3 of the fast drift
     c_sub: float = 0.5
-    est_dt: float = 0.05
+    est_dt: float = ErgodicEstimatorConfig.dt
     est_burn_in: float | None = None
     est_horizon: float | None = None
-    est_reps: int = 4
+    est_reps: int = ErgodicEstimatorConfig.n_reps
 
     def validate(self) -> None:
         """Reject malformed input with a ConfigError naming the key (assumptions are
@@ -84,8 +84,8 @@ class ExperimentConfig:
             _check_type(f.name, f.type, getattr(self, f.name))
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; pick one of {SCENARIOS}")
-        if not 1.0 < self.alpha <= 2.0:
-            raise ConfigError(f"alpha must lie in (1, 2], got {self.alpha}")
+        with _naming("alpha"):
+            check_alpha(self.alpha)
         if not 1.0 < self.p < self.alpha:
             raise ConfigError(f"p must lie in (1, alpha), got p={self.p}, alpha={self.alpha}")
         with _naming("eps_grid"):
@@ -127,8 +127,8 @@ class ExperimentConfig:
         k = self.k_trunc
         self.op_a(), self.weights_l(), self.initial_state()
         if self.scenario == "fast-slow":
-            if not 1.0 < self.beta <= 2.0:
-                raise ConfigError(f"beta must lie in (1, 2], got {self.beta}")
+            with _naming("beta"):
+                check_alpha(self.beta)
             with _naming("c_sub"):  # the count the solve takes
                 n_sub = fast_substeps(self.dt, eps_min, self.c_sub)
             _bound("fast substeps T / (c_sub x min eps_grid) x k_trunc modes", n_steps * n_sub * k)
@@ -136,9 +136,9 @@ class ExperimentConfig:
             mixing = self.fast_coupled_drift().mixing_rate(self.op_b())
             estimator = self.estimator_config()
             if mixing > 0:  # else the ergodicity condition fails and nothing is estimated
-                with _naming("est_burn_in, est_horizon"):
-                    _, horizon = estimator.resolve(mixing)
-                _bound("est_horizon / est_dt steps x k_trunc", np.ceil(horizon / self.est_dt) * k)
+                with _naming("est_dt, est_burn_in, est_horizon"):
+                    _, n_est = estimator.resolve(mixing)
+                _bound("est_horizon / est_dt steps x k_trunc", float(n_est) * k)
             return
         qt, qh = self.generator_pair()
         diagonals = zip(qt.rates.diagonal().tolist(), qh.rates.diagonal().tolist())

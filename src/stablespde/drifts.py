@@ -1,11 +1,10 @@
 """Drift catalog for the steppers.
 
 Two shapes of drift appear: regime drifts b(x, i) indexed by a finite chain
-state, and coupled drifts b(x, y) / f(x, y) taking a second field argument.
+state, and coupled drifts b(x, y) / f(x, y), always called with both fields.
 Weighted over its regimes, a regime drift is one of the same family
-(``averaged``); a coupled drift with x frozen is a one-regime saturating drift
-(``frozen``).  Called without a regime, a drift uses regime 0, so a one-regime
-drift maps state to state.
+(``averaged``).  Called without a regime, a drift uses regime 0, so a
+one-regime drift maps state to state.
 
 The saturating nonlinearity is tanh: odd, bounded, 1-Lipschitz.
 """
@@ -75,11 +74,8 @@ class SaturatingCoupledDrift:
     offset: float = 0.0
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.gain_x * np.tanh(x) + self.gain_y * np.tanh(y) + self.offset
-
-    def frozen(self, x: np.ndarray) -> SaturatingRegimeDrift:
-        """y -> g(x, y) for the fixed ``x``."""
-        return SaturatingRegimeDrift([self.gain_y], [self.gain_x * np.tanh(x) + self.offset])
+        g = self.gain_y * np.tanh(y)  # a zero gain_x adds a signed zero, which + offset clears
+        return (self.gain_x * np.tanh(x) + g if self.gain_x else g) + self.offset
 
     @property
     def grad_y_bound(self) -> float:

@@ -8,14 +8,15 @@ uniform time grid, so its per-mode factors form one :class:`MildStepPlan`
 built once.  Chain jumps inside a step are resolved by sub-stepping the drift
 at the exact jump times; the noise term needs no refinement.  The fast field
 of a fast-slow pair steps through the same plan form, for the operator and
-noise rescaled by its time scale.  Every solve steps on noise arrays its caller
-drew with :func:`draw_noise`; the substream tags and the stream contract are
-defined in :mod:`.rng`.
+noise rescaled by its time scale, calling its drift as f(x, y) at a held x.
+Every solve steps on noise arrays its caller drew with :func:`draw_noise`; the
+substream tags and the stream contract are defined in :mod:`.rng`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -187,7 +188,7 @@ def solve_frozen_fast(
 ) -> TrajectoryRecord:
     """Fast field with the slow variable frozen at ``z`` (no time-scale factor)."""
     _check_ergodic(fast_drift, op_b)
-    return _mild_solve(y0, fast_drift.frozen(z), op_b, w_z, beta, grid, noise)
+    return _mild_solve(y0, partial(fast_drift, z), op_b, w_z, beta, grid, noise)
 
 
 def solve_fast_slow(
@@ -208,11 +209,10 @@ def solve_fast_slow(
 ) -> TrajectoryRecord:
     """Joint stepper for the fast-slow pair (slow X, fast Y at rate 1/eps).
 
-    ``slow_drift`` is called as f(x, y), ``fast_drift.frozen(x)`` as y -> f(x, y).
     Row i of ``noise`` drives the slow field's step i, and ``noise_z[i]`` of
-    shape (n_sub, k) the fast field's n_sub substeps inside it.  The slow field
-    advances once per grid step with both arguments frozen at the step's left
-    endpoint; the caller sizes n_sub so that the O(1/eps) drift stays
+    shape (n_sub, k) the fast field's n_sub substeps inside it.  Both drifts are
+    called as f(x, y) with x at the step's left endpoint, the slow one with y
+    there too; the caller sizes n_sub so that the O(1/eps) drift stays
     resolved.  The fast plan is the mild step of dY = (-B Y + f) / eps dt +
     eps^(-1/beta) dZ: eigenvalues mu_k / eps and noise weights q_k
     eps^(-1/beta), the drift entering as f / eps.
@@ -230,9 +230,9 @@ def solve_fast_slow(
     out_x, out_y = np.empty((grid.size, x.size)), np.empty((grid.size, y.size))
     out_x[0], out_y[0] = x, y
     for i in range(grid.size - 1):
-        fast_frozen = fast_drift.frozen(x)
-        x = slow_plan.decay * x + slow_drift(x, y) * slow_plan.drift_factor + kicks_x[i]
+        x_next = slow_plan.decay * x + slow_drift(x, y) * slow_plan.drift_factor + kicks_x[i]
         for kick in kicks_y[i]:
-            y = fast_plan.decay * y + fast_frozen(y) / eps * fast_plan.drift_factor + kick
+            y = fast_plan.decay * y + fast_drift(x, y) / eps * fast_plan.drift_factor + kick
+        x = x_next
         out_x[i + 1], out_y[i + 1] = x, y
     return TrajectoryRecord(grid, out_x, fast_states=out_y)

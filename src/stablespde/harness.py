@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import (
-    N_BATCHES,
+    batch_means,
     class_average_drift,
     estimate_ergodic_drift,
     ergodic_decay_probe,
@@ -106,9 +106,8 @@ def p_moment(values: np.ndarray, p: float) -> tuple[float, float]:
     m = v.mean()
     if m == 0:
         return 0.0, 0.0
-    batches = np.array_split(v, min(N_BATCHES, v.size))
-    bm = np.array([b.mean() for b in batches])
-    se_m = bm.std(ddof=1) / math.sqrt(len(batches))
+    bm = batch_means(v)
+    se_m = bm.std(ddof=1) / math.sqrt(len(bm))
     return float(m ** (1.0 / p)), float(se_m / p * m ** (1.0 / p - 1.0))
 
 
@@ -150,7 +149,7 @@ def run_check(cfg: ExperimentConfig):
         except ValueError as exc:
             add("block irreducibility", False, str(exc))
     elif fast:
-        op_b, fast_drift = cfg.op_b(), cfg.fast_coupled_drift()
+        op_b, fast_drift = fast_pair["op_b"], cfg.fast_coupled_drift()
         add("ergodicity condition K3 < mu_1", fast_drift.mixing_rate(op_b) > 0,
             f"K3 = {fast_drift.grad_y_bound:g}, mu_1 = {op_b.lambda_1:g}")
         bound = cfg.slow_coupled_drift().bound_for(cfg.k_trunc)

@@ -62,7 +62,7 @@ class NoiseWeights:
 _TRANSFORM_CHUNK = 1 << 14
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"stability index must lie in (1, 2], got {alpha}")
 
@@ -90,7 +90,7 @@ def sample_standard_stable(alpha, rng, size):
     reshaped.  The transform then runs in chunks of values written back into
     the uniforms.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     out = gen.uniform(-np.pi / 2, np.pi / 2, size)
     if np.ndim(out) == 0:
@@ -114,7 +114,7 @@ def convolution_scale(beta_k, lambda_k, alpha: float, h: float):
     Returns beta_k * ((1 - exp(-alpha*lambda_k*h)) / (alpha*lambda_k))^(1/alpha),
     the scale of int_0^h exp(-lambda_k (h-s)) dL_k(s).  Vectorized over modes.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if h < 0:
         raise ValueError("h must be nonnegative")
     lam = np.asarray(lambda_k, dtype=float)

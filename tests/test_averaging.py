@@ -113,16 +113,6 @@ def test_averaged_matches_per_regime_sum(seed, n_regimes, m, family):
         np.testing.assert_allclose(avg(x, i), ref, rtol=1e-13, atol=1e-13 * scale.max())
 
 
-@pytest.mark.parametrize("coupled", [SaturatingCoupledDrift(0.0, 0.5), ZeroCoupledDrift()])
-def test_frozen_drift_is_coupled_drift_at_fixed_x(coupled):
-    rng = np.random.default_rng(7)
-    x = rng.normal(scale=2.0, size=5)
-    frozen = coupled.frozen(x)
-    assert isinstance(frozen, SaturatingRegimeDrift)
-    for y in (rng.normal(scale=2.0, size=5), np.zeros(5), -np.ones(5)):
-        assert frozen(y).tobytes() == coupled(x, y).tobytes()
-
-
 def test_zero_coupled_drift_is_saturating_drift_with_zero_coefficients():
     zero = ZeroCoupledDrift()
     assert isinstance(zero, SaturatingCoupledDrift)
@@ -133,17 +123,28 @@ def test_zero_coupled_drift_is_saturating_drift_with_zero_coefficients():
         ZeroCoupledDrift(0.5, 0.5)
 
 
+@pytest.mark.parametrize("gain_y, offset", [(0.5, 0.0), (0.5, 0.3), (0.0, 0.0)])
+def test_coupled_drift_without_gain_x_keeps_the_full_formula_bits(gain_y, offset):
+    # x has both signs, so the skipped 0 * tanh(x) term would add +0.0 and -0.0
+    rng = np.random.default_rng(7)
+    x = rng.normal(scale=2.0, size=6)
+    g = SaturatingCoupledDrift(0.0, gain_y, offset)
+    for y in (rng.normal(scale=2.0, size=6), np.zeros(6), -np.zeros(6), np.full(6, -1e-320)):
+        full = 0.0 * np.tanh(x) + gain_y * np.tanh(y) + offset
+        assert g(x, y).tobytes() == full.tobytes()
+
+
 def test_frozen_saturating_drift_hand_value():
     # g(x, y) = 0.3 tanh(x) + 0.5 tanh(y) + 0.2
     x, y = np.array([0.4, -1.0]), np.array([2.0, -0.5])
-    frozen = SaturatingCoupledDrift(0.3, 0.5, 0.2).frozen(x)
-    assert np.allclose(frozen(y), 0.3 * np.tanh(x) + 0.5 * np.tanh(y) + 0.2, rtol=1e-15)
+    g = SaturatingCoupledDrift(0.3, 0.5, 0.2)
+    assert np.allclose(g(x, y), 0.3 * np.tanh(x) + 0.5 * np.tanh(y) + 0.2, rtol=1e-15)
 
 
 def test_estimator_config_defaults_from_mixing_rate():
-    burn, horizon = ErgodicEstimatorConfig().resolve(0.5)
+    burn, n_steps = ErgodicEstimatorConfig().resolve(0.5)
     assert burn == pytest.approx(6.0)
-    assert horizon == pytest.approx(60.0)
+    assert n_steps == 1200  # ceil(horizon 60 / dt 0.05)
     with pytest.raises(ValueError):
         ErgodicEstimatorConfig(burn_in=2.0, horizon=1.0).resolve(1.0)
     with pytest.raises(ValueError):

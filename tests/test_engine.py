@@ -379,6 +379,18 @@ def test_frozen_fast_pathwise_contraction():
     assert slope <= -(1.0 - 0.5) + 0.1
 
 
+def test_frozen_fast_steps_the_coupled_drift_at_z_bit_for_bit():
+    fast = SaturatingCoupledDrift(0.3, 0.4, 0.2)  # with gain_x and offset, summation order shows
+    z, y = np.array([0.5, -1.0, 2.0]), np.array([1.0, -0.5, 0.25])
+    grid = np.linspace(0.0, 1.0, 11)
+    noise = draw_noise(1.5, RngStream(15, 0).substream(Z_NOISE_TAG), len(grid) - 1, 3)
+    rec = solve_frozen_fast(z, y, fast, OP3, W3, 1.5, grid, noise)
+    plan = make_step_plan(OP3, W3, 1.5, 0.1)
+    for i in range(len(grid) - 1):
+        y = plan.decay * y + fast(z, y) * plan.drift_factor + plan.conv_scale * noise[i]
+        assert rec.states[i + 1].tobytes() == y.tobytes()
+
+
 def test_record_shapes():
     grid = np.linspace(0.0, 1.0, 6)
     rec = solve_averaged_spde(

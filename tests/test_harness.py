@@ -573,6 +573,9 @@ MALFORMED = [
     pytest.param("fast_slow.cfg", "est_dt = 1e-300", [], "est_dt", "freeze", id="est_dt_tiny"),
     pytest.param("fast_slow.cfg", "est_horizon = 1e300", [], "est_horizon", "freeze",
                  id="est_horizon_huge"),
+    # a step count that overflows a float: no integer count for the estimator's grid
+    pytest.param("fast_slow.cfg", "est_dt = 1e-300\nest_horizon = 1e300", [], "est_dt", "freeze",
+                 id="est_steps_infinite"),
     pytest.param("aggregate.cfg", "eps_grid = [1e-300]", [], "eps_grid", "aggregate",
                  id="eps_grid_tiny"),
     pytest.param("switching_single.cfg", "k_trunc = 1000000000", [], "k_trunc", None,
