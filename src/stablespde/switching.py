@@ -66,8 +66,8 @@ class ClassPartition:
         return len(self.classes)
 
     def class_of(self) -> np.ndarray:
-        """Lookup array: state index -> class index."""
-        out = np.empty(self.n_states, dtype=int)
+        """Lookup array: state index -> class index, as the smallest unsigned type."""
+        out = np.empty(self.n_states, dtype=np.min_scalar_type(self.n_classes - 1))
         for i, blk in enumerate(self.classes):
             out[list(blk)] = i
         return out
@@ -83,11 +83,14 @@ class ChainPath:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=int)
+        s = np.asarray(self.states)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
         if t.size != s.size or t.size == 0:
             raise ValueError("times and states must be nonempty and equal-length")
+        # states keep their integer dtype, so simulate_chain's compact codes stay compact
+        if not np.issubdtype(s.dtype, np.integer):
+            raise ValueError(f"states must be integers, got dtype {s.dtype}")
         if t[0] != 0 or np.any(t[1:] <= t[:-1]) or t[-1] > self.horizon:
             raise ValueError("jump times must increase from 0 within the horizon")
 
@@ -141,6 +144,7 @@ def aggregate_generator(
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 16_384
 _LOOP_WALK = 32  # a walk of at most this many steps runs as a plain Python loop
+_GROWTH = 1.25  # a chain's output buffers grow in place by this factor
 
 
 def _walk(table: np.ndarray, cols: np.ndarray, s0: int) -> np.ndarray:
@@ -191,6 +195,12 @@ def simulate_chain(
     cumulative sum of the holding times adds them in the same order as a
     jump-by-jump loop and so gives the same bits.  The walk stops at the
     first absorbing state or the first jump time at or past the horizon.
+
+    Each block's kept jump times and states are copied into one output buffer
+    per array.  A buffer starts at the first block's size, grows in place by
+    1.25x (``ndarray.resize``) and is cut to the jump count at the end, so the
+    returned arrays own exactly-sized data.  States are compact codes of
+    ``np.min_scalar_type(n - 1)``: uint8 up to 256 states.
     """
     if not (eps > 0 and 0 < horizon < np.inf):
         raise ValueError("eps and horizon must be positive and the horizon finite")
@@ -219,8 +229,10 @@ def simulate_chain(
         table[s, 1:] = np.searchsorted(cum[s], edges, side="right")
 
     gen = rng.generator()
-    times, states = [np.zeros(1)], [np.array([r0])]
-    t, state, m = 0.0, r0, _FIRST_BLOCK
+    times = np.zeros(1 + _FIRST_BLOCK)
+    states = np.empty(1 + _FIRST_BLOCK, dtype=np.min_scalar_type(n - 1))
+    states[0] = r0
+    k, t, state, m = 1, 0.0, r0, _FIRST_BLOCK
     while exit_rates[state] > 0:
         exps = gen.standard_exponential(m)
         # cols lives until the next block's replaces it; inlined into the walk call, it
@@ -234,18 +246,24 @@ def simulate_chain(
         t_after[0] += t
         np.cumsum(t_after, out=t_after)
         live = exit_rates[before] > 0
-        if t_after[-1] >= horizon or not live.all():
-            k = int(np.argmin(live & (t_after < horizon)))
-            times.append(t_after[:k])
-            states.append(after[:k])
+        last = t_after[-1] >= horizon or not live.all()
+        kept = int(np.argmin(live & (t_after < horizon))) if last else m
+        if k + kept > times.size:
+            # resize reallocates the buffer itself, so no second array of the old size
+            # is held.  Blocks are copied in, never drawn into the buffer, so no view
+            # of a buffer outlives a block and none is left dangling if resize moves it
+            size = max(k + kept, int(_GROWTH * times.size))
+            times.resize(size, refcheck=False)
+            states.resize(size, refcheck=False)
+        times[k : k + kept] = t_after[:kept]
+        states[k : k + kept] = after[:kept]
+        k += kept
+        if last:
             break
-        times.append(t_after)
-        states.append(after)
         t, state = t_after[-1], int(after[-1])
         m = min(2 * m, _MAX_BLOCK)
-    # each list of pieces is dropped once joined, so at most 1.5x the output is held
-    times = np.concatenate(times)
-    states = np.concatenate(states)
+    times.resize(k, refcheck=False)
+    states.resize(k, refcheck=False)
     return ChainPath(times, states, horizon)
 
 
@@ -259,11 +277,22 @@ def aggregate_path(path: ChainPath, partition: ClassPartition) -> ChainPath:
     return ChainPath(path.times[keep], classes[keep], path.horizon)
 
 
+_OCCUPATION_CHUNK = 2**16  # durations summed per np.add.at call
+
+
 def occupation_fractions(path: ChainPath, n: int) -> np.ndarray:
-    """Fraction of the horizon spent in each state; sums to 1."""
-    durations = np.empty(path.times.size)
-    np.subtract(path.times[1:], path.times[:-1], out=durations[:-1])
-    durations[-1] = path.horizon - path.times[-1]
+    """Fraction of the horizon spent in each state; sums to 1.
+
+    The durations are formed and added _OCCUPATION_CHUNK at a time in path
+    order, so the sums are those of one ``np.add.at`` over all of them while
+    only one chunk of durations is held.
+    """
+    times, size = path.times, path.times.size
     out = np.zeros(n)
-    np.add.at(out, path.states, durations)
+    for lo in range(0, size, _OCCUPATION_CHUNK):
+        hi = min(lo + _OCCUPATION_CHUNK, size)
+        ends = times[lo + 1 : hi + 1]
+        if hi == size:
+            ends = np.append(ends, path.horizon)
+        np.add.at(out, path.states[lo:hi], ends - times[lo:hi])
     return out / path.horizon

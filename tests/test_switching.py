@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from stablespde.config import load_config
 from stablespde.rng import CHAIN_TAG, RngStream
 from stablespde.switching import (
+    _OCCUPATION_CHUNK,
     ChainPath,
     ClassPartition,
     GeneratorMatrix,
@@ -317,6 +318,12 @@ def test_chain_and_class_counts_memory_is_bounded():
     assert chain_peak <= 1.8 * (path.times.nbytes + path.states.nbytes)
     assert aggregate_peak <= 1.25 * path.times.nbytes
     assert occupation_peak <= 1.25 * path.times.nbytes
+    # one buffer per array grown in place, compact state codes, chunked durations
+    assert chain_peak <= 2.0 * path.times.nbytes
+    assert aggregate_peak <= 0.4 * path.times.nbytes
+    assert occupation_peak <= 0.25 * path.times.nbytes
+    assert path.times.base is None and path.states.base is None
+    assert path.states.dtype == np.uint8
 
 
 def test_simulate_chain_matches_reference_horizon_on_first_draw():
@@ -410,6 +417,52 @@ def test_simulate_chain_draws_block_by_block():
     assert 32_704 < path.states.size - 1 <= 32_704 + 16_384
 
 
+def test_simulate_chain_over_more_than_256_states_stores_uint16_codes():
+    # a 300-state ring with a long chord: every state is one or 97 steps from the next
+    n = 300
+    rates = np.zeros((n, n))
+    weights = np.random.default_rng(10).uniform(0.5, 2.0, size=(2, n))
+    rates[np.arange(n), (np.arange(n) + 1) % n] = weights[0]
+    rates[np.arange(n), (np.arange(n) + 97) % n] = weights[1]
+    q = GeneratorMatrix(rates - np.diag(rates.sum(axis=1)))
+    path = _assert_matches_reference(q, GeneratorMatrix.zero(n), 1e-2, 0, 20.0, RngStream(11))
+    assert path.states.dtype == np.uint16
+    assert path.states.max() > 255
+
+
+def test_simulate_chain_grows_its_buffers_many_times():
+    # 199,423 jumps: the buffers grow 15 times from 65 entries, the last 4 times by the
+    # 1.25 factor once a capped 16,384-draw block is under a quarter of the buffer,
+    # and are cut from 199,845 entries to the 199,424 kept
+    path = _assert_matches_reference(SYM2, GeneratorMatrix.zero(2), 1e-3, 0, 200.0, RngStream(9))
+    assert path.states.size - 1 == 199_423
+    assert path.times.base is None and path.states.base is None
+
+
+@pytest.mark.parametrize(
+    "qtilde, r0", [(ABSORBING3, 2), (GeneratorMatrix.zero(3), 1)], ids=["absorbing", "zero"]
+)
+def test_simulate_chain_that_draws_no_block_returns_its_start(qtilde, r0):
+    zero = GeneratorMatrix.zero(3)
+    path = _assert_matches_reference(qtilde, zero, 0.5, r0, 7.0, RngStream(4))
+    assert path.states.tolist() == [r0] and path.times.tolist() == [0.0]
+    assert path.times.base is None and path.states.base is None
+    stream = _RecordingDraws(RngStream(4))
+    simulate_chain(qtilde, zero, 0.5, r0, 7.0, stream)
+    assert stream.requests == []
+
+
+def test_chain_path_keeps_integer_states_dtype():
+    path = ChainPath(np.array([0.0, 1.0]), np.array([3, 1], dtype=np.uint8), 2.0)
+    assert path.states.dtype == np.uint8
+
+
+@pytest.mark.parametrize("states", [[0.0, 1.5], [0.0, 1.0], [True, False]])
+def test_chain_path_refuses_non_integer_states(states):
+    with pytest.raises(ValueError, match="states must be integers"):
+        ChainPath(np.array([0.0, 1.0]), np.array(states), 2.0)
+
+
 def test_aggregate_path_identity_for_singletons():
     path = ChainPath(np.array([0.0, 1.0, 2.0]), np.array([0, 1, 0]), 3.0)
     part = ClassPartition(((0,), (1,)))
@@ -444,3 +497,15 @@ def test_occupation_fractions_hand_integration():
     assert np.allclose(occ, [0.5, 0.5])
     path2 = ChainPath(np.array([0.0, 0.25, 1.5]), np.array([1, 0, 1]), 2.0)
     assert np.allclose(occupation_fractions(path2, 2), [1.25 / 2.0, 0.75 / 2.0])
+
+
+@pytest.mark.parametrize("size", [_OCCUPATION_CHUNK, _OCCUPATION_CHUNK + 1])
+def test_occupation_fractions_in_chunks_matches_one_add_at(size):
+    rng = np.random.default_rng(12)
+    times = np.concatenate([[0.0], np.cumsum(rng.exponential(size=size - 1))])
+    states = rng.integers(0, 5, size=size).astype(np.uint8)
+    horizon = times[-1] + 0.5
+    expected = np.zeros(5)
+    np.add.at(expected, states, np.diff(times, append=horizon))
+    got = occupation_fractions(ChainPath(times, states, horizon), 5)
+    assert got.tobytes() == (expected / horizon).tobytes()
