@@ -145,6 +145,10 @@ class ExperimentConfig:
         exit_rate = max(-a / eps_min - b for a, b in diagonals)  # of Qtilde / eps + Qhat
         _bound("expected chain jumps T x the largest exit rate at min eps_grid", self.T * exit_rate)
         n = qt.n_states
+        # simulate_chain's threshold table has n rows and at most one column per jump target + 3
+        targets = np.count_nonzero(((qt.rates != 0) | (qh.rates != 0)) & ~np.eye(n, dtype=bool))
+        _bound("chain jump table n x (nonzero off-diagonal rates of qtilde, qhat + 3)",
+               n * (targets + 3))
         if not 1 <= self.r0 <= n:
             raise ConfigError(f"r0 = {self.r0} is not a state of the {n}-state chain")
         drift, linear = self.regime_drift(), self.drift == "linear-reaction"

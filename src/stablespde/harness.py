@@ -396,6 +396,7 @@ def run_aggregate(cfg: ExperimentConfig):
         np.add.at(counts, (agg.states[:-1], agg.states[1:]), 1.0)
         class_time += occupation_fractions(agg, part.n_classes) * cfg.T
         occ += occupation_fractions(chain, qt.n_states) / cfg.n_paths
+        del chain, agg  # else this path's chain is alive while the next one is walked
     unvisited = ", ".join(str(i + 1) for i in np.flatnonzero(class_time == 0))
     if unvisited:
         raise ConditionError(f"zero occupation time in class {unvisited}")

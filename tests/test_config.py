@@ -184,6 +184,23 @@ def test_size_gate_counts_the_fast_substeps_the_solve_takes():
     assert cfg.k_trunc == 450000
 
 
+def test_size_gate_counts_the_jump_targets_of_qtilde_and_qhat():
+    # a 220-state ring has 440 jump targets: a table of 220 x 443 entries passes; a dense
+    # qhat adds every other target, 220 x (220 x 219 + 3) = 1.06e7 entries, and is refused
+    n = 220
+    ring = np.zeros((n, n))
+    ring[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    ring[np.arange(n), (np.arange(n) - 1) % n] = 1.0
+    np.fill_diagonal(ring, -2.0)
+    dense = np.full((n, n), 0.01)
+    np.fill_diagonal(dense, -0.01 * (n - 1))
+    text = (CONFIG_DIR / "switching_single.cfg").read_text()
+    text += f"qtilde = {ring.tolist()}\ndrift_coeffs = {[0.5] * n}\n"
+    assert parse_config(text).qhat is None
+    with pytest.raises(ConfigError, match=r"qtilde, qhat \+ 3\) = 1\.06e\+07 exceeds"):
+        parse_config(text + f"qhat = {dense.tolist()}\n")
+
+
 @pytest.mark.parametrize(
     "preset, lines, key",
     [

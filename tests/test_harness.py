@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import stablespde
 from stablespde import cli
-from stablespde.config import ExperimentConfig, parse_config
+from stablespde.config import ExperimentConfig, load_config, parse_config
 from stablespde.harness import (
     ConditionError,
     ErrorTable,
@@ -28,6 +29,8 @@ from stablespde.harness import (
     synthesize_point,
     theoretical_rate_exponent,
 )
+from stablespde.rng import CHAIN_TAG, RngStream
+from stablespde.switching import simulate_chain
 
 SMALL_SWITCHING = """
 scenario = "switching-single"
@@ -47,6 +50,15 @@ drift_coeffs = [0.3, 0.9]
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # an explicit initial state for the 20-mode presets
 X0_20 = str([0.5] * 20)
+
+
+def dense_chain_lines(n: int) -> str:
+    """Config lines for a dense n-state qtilde of random integer rates, whose rows' cumulative
+    jump probabilities all differ, and one drift coefficient per state."""
+    rates = np.random.default_rng(n).integers(1, 100, size=(n, n))
+    np.fill_diagonal(rates, 0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return f"qtilde = {rates.tolist()}\ndrift_coeffs = {[0.5] * n}"
 
 SMALL_FAST_SLOW = """
 scenario = "fast-slow"
@@ -259,6 +271,23 @@ def test_aggregate_zero_qhat_constant_class():
     assert qbar.rates.shape == (1, 1)
     assert rows == []
     assert per_class["1"]["occupation"] == pytest.approx(1.0)
+
+
+def test_run_aggregate_holds_one_chain_at_a_time():
+    # three of the aggregate preset's chains of about 1.2 M jumps, walked one after another:
+    # the peak is one chain and its walk (2.7x times.nbytes while each path's chain was
+    # still held during the next path's walk)
+    cfg = load_config(CONFIG_DIR / "aggregate.cfg", n_paths=3)
+    qt, qh = cfg.generator_pair()
+    rng = RngStream(cfg.seed, 0).substream(CHAIN_TAG)
+    nbytes = simulate_chain(qt, qh, min(cfg.eps_grid), cfg.r0 - 1, cfg.T, rng).times.nbytes
+    tracemalloc.start()
+    try:
+        run_aggregate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * nbytes
 
 
 def test_simulate_record_and_synthesis():
@@ -582,6 +611,10 @@ MALFORMED = [
                  id="k_trunc_huge"),
     pytest.param("switching_single.cfg", "", ["--paths", "1000000000000"], "n_paths", "converge",
                  id="paths_flag_huge"),
+    # 220 x (220 x 219 + 3) = 1.06e7 entries of the chain's jump table: about 85 MB built
+    # before the first draw
+    pytest.param("switching_single.cfg", dense_chain_lines(220), [], "qtilde, qhat", "simulate",
+                 id="qtilde_dense_jump_table_huge"),
     pytest.param("fast_slow.cfg", "slow_gain_x = 1e999", [], "slow_gain_x", None,
                  id="slow_gain_x_infinite"),
     pytest.param("switching_multiclass.cfg", "drift_offsets = [0.5, -0.5, 0.4]", [],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from stablespde.config import load_config
 from stablespde.rng import CHAIN_TAG, RngStream
 from stablespde.switching import (
-    _OCCUPATION_CHUNK,
+    _CHUNK,
     ChainPath,
     ClassPartition,
     GeneratorMatrix,
@@ -301,6 +301,9 @@ def test_chain_and_class_counts_memory_is_bounded():
     qt, qh = cfg.generator_pair()
     rng = RngStream(cfg.seed, 0).substream(CHAIN_TAG)
 
+    # numpy.random loads on a process's first chain: walk a short one untraced
+    simulate_chain(qt, qh, 1e-3, 0, 1.0, rng)
+
     def extra_peak(call):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -324,6 +327,9 @@ def test_chain_and_class_counts_memory_is_bounded():
     assert occupation_peak <= 0.25 * path.times.nbytes
     assert path.times.base is None and path.states.base is None
     assert path.states.dtype == np.uint8
+    # buffers grown by exactly what each block keeps, classes looked up in chunks
+    assert chain_peak <= 1.4 * path.times.nbytes
+    assert aggregate_peak <= 0.2 * path.times.nbytes
 
 
 def test_simulate_chain_matches_reference_horizon_on_first_draw():
@@ -431,9 +437,9 @@ def test_simulate_chain_over_more_than_256_states_stores_uint16_codes():
 
 
 def test_simulate_chain_grows_its_buffers_many_times():
-    # 199,423 jumps: the buffers grow 15 times from 65 entries, the last 4 times by the
-    # 1.25 factor once a capped 16,384-draw block is under a quarter of the buffer,
-    # and are cut from 199,845 entries to the 199,424 kept
+    # 199,423 jumps: from the one initial entry the buffers grow 20 times, once per block
+    # (64, 128, ..., 16,384 draws, then 11 capped at 16,384), by exactly what the block
+    # keeps, so they end at the 199,424 entries kept
     path = _assert_matches_reference(SYM2, GeneratorMatrix.zero(2), 1e-3, 0, 200.0, RngStream(9))
     assert path.states.size - 1 == 199_423
     assert path.times.base is None and path.states.base is None
@@ -461,6 +467,20 @@ def test_chain_path_keeps_integer_states_dtype():
 def test_chain_path_refuses_non_integer_states(states):
     with pytest.raises(ValueError, match="states must be integers"):
         ChainPath(np.array([0.0, 1.0]), np.array(states), 2.0)
+
+
+@pytest.mark.parametrize("size", [_CHUNK + 1, _CHUNK + 2, 2 * _CHUNK + 1])
+def test_aggregate_path_in_chunks_matches_one_lookup(size):
+    rng = np.random.default_rng(13)
+    times = np.concatenate([[0.0], np.cumsum(rng.exponential(size=size - 1))])
+    states = rng.integers(0, 4, size=size).astype(np.uint8)
+    part = ClassPartition(((0, 2), (1,), (3,)))
+    classes = part.class_of()[states]
+    keep = np.concatenate([[True], classes[1:] != classes[:-1]])
+    agg = aggregate_path(ChainPath(times, states, times[-1] + 1.0), part)
+    assert agg.times.tobytes() == times[keep].tobytes()
+    assert agg.states.tobytes() == classes[keep].tobytes()
+    assert agg.states.dtype == np.uint8
 
 
 def test_aggregate_path_identity_for_singletons():
@@ -499,7 +519,7 @@ def test_occupation_fractions_hand_integration():
     assert np.allclose(occupation_fractions(path2, 2), [1.25 / 2.0, 0.75 / 2.0])
 
 
-@pytest.mark.parametrize("size", [_OCCUPATION_CHUNK, _OCCUPATION_CHUNK + 1])
+@pytest.mark.parametrize("size", [_CHUNK, _CHUNK + 1])
 def test_occupation_fractions_in_chunks_matches_one_add_at(size):
     rng = np.random.default_rng(12)
     times = np.concatenate([[0.0], np.cumsum(rng.exponential(size=size - 1))])
