@@ -23,7 +23,7 @@ import numpy as np
 from .rng import RngStream
 from .spectral import FieldState, SpectralOperator
 from .stable_noise import NoiseWeights, convolution_scale, sample_standard_stable
-from .switching import ChainPath
+from .switching import ChainPath, sorted_distinct
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def _mild_solve(
             out[i + 1] = x
         return TrajectoryRecord(grid, out)
     lam, times = op.eigenvalues, chain.times
-    pts = np.union1d(grid, times[(times > grid[0]) & (times < grid[-1])])
+    pts = sorted_distinct(np.concatenate((grid, times[(times > grid[0]) & (times < grid[-1])])))
     first = np.searchsorted(pts, grid)
     regimes = chain.states[np.searchsorted(times, pts[:-1], side="right") - 1].tolist()
     tau = np.diff(pts)[:, None]

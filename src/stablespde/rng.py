@@ -50,7 +50,10 @@ class RngStream:
 # min(64 * 2**b, 16384) values, standard_exponential(m_b) then random(m_b), and draw
 # k of the walk is the pair (exponential k, uniform k).  The block schedule is thus
 # part of the contract: retuning it moves the chains' output bits, the price of a
-# chain drawing no values beyond the block it stops in.
+# chain drawing no values beyond the block it stops in.  On a single-class path (Qhat
+# = 0) each eps would draw the same pairs and visit the same states, so where the eps'
+# threshold tables agree one walk of the CHAIN_TAG substream serves them all, with the
+# bits of per-eps walks (switching.simulate_chains).
 L_NOISE_TAG = 0  # slow-field noise L, k_trunc variates per grid step
 CHAIN_TAG = 1  # the switching chain, simulated by the harness
 Z_NOISE_TAG = 2  # fast-field noise Z, per (path, eps) or per frozen-fast run

@@ -171,6 +171,126 @@ def _walk(table: np.ndarray, cols: np.ndarray, s0: int) -> np.ndarray:
     return out
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values of ``values`` in increasing order: ``np.unique``'s result.
+
+    Sorted, then kept where a value differs from its predecessor.  np.unique
+    does the same but imports numpy.ma on its first call, 1.0 MB of RSS and
+    10 ms in a process that has not imported it yet.
+    """
+    out = np.sort(values, axis=None)
+    keep = np.ones(out.size, dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
+@dataclass(frozen=True)
+class _ChainLaw:
+    """The jump law of Qtilde/eps + Qhat as one chain walk reads it.
+
+    ``table[s, b]`` is the state a draw moves state s to when its uniform u
+    has ``edges[b - 1] <= u < edges[b]`` (column 0: u below every edge).
+    """
+
+    exit_rates: np.ndarray  # 0 at an absorbing state
+    hold_rates: np.ndarray  # inf at an absorbing state: its discarded holding time stays finite
+    edges: np.ndarray
+    table: np.ndarray
+
+
+def _chain_law(qtilde: GeneratorMatrix, qhat: GeneratorMatrix, eps: float, r0: int,
+               horizon: float) -> _ChainLaw:
+    """The law a chain from ``r0`` over [0, ``horizon``] walks, once those are checked."""
+    if not (eps > 0 and 0 < horizon < np.inf):
+        raise ValueError("eps and horizon must be positive and the horizon finite")
+    q = qtilde.rates / eps + qhat.rates
+    n = q.shape[0]
+    if not 0 <= r0 < n:
+        raise ValueError(f"initial state {r0} out of range")
+    kernel = q.copy()
+    np.fill_diagonal(kernel, 0.0)
+    # a state with no jump target never leaves, even if rounding left its exit rate > 0
+    exit_rates = np.where(kernel.max(axis=1) > 0, -np.diag(q), 0.0)
+    # row-wise jump kernel as cumulative probabilities; from its last target on
+    # a row reads exactly 1, so rounding cannot map a draw past the last state
+    cum = np.ones_like(kernel)
+    for i in np.flatnonzero(exit_rates > 0):
+        last = np.flatnonzero(kernel[i])[-1]
+        cum[i, :last] = np.cumsum(kernel[i, :last]) / exit_rates[i]
+    # cum[s, j] <= u exactly when cum[s, j] <= edges[b - 1], as cum[s, j] is an edge
+    edges = sorted_distinct(cum)
+    table = np.zeros((n, edges.size + 1), dtype=np.intp)
+    for s in range(n):
+        table[s, 1:] = np.searchsorted(cum[s], edges, side="right")
+    return _ChainLaw(exit_rates, np.where(exit_rates > 0, exit_rates, np.inf), edges, table)
+
+
+def _walk_blocks(law: _ChainLaw, r0: int, rng: RngStream):
+    """The walk from ``r0`` on a fresh generator of ``rng``, one (exps, walk) per block.
+
+    Block b draws m = min(64 * 2**b, 16,384) pairs, ``standard_exponential(m)``
+    then ``random(m)``, and ``walk`` holds the m + 1 states from the block's
+    first to the one after its last draw.  The blocks end at the first
+    absorbing state; the caller stops drawing them when its horizon is crossed.
+    """
+    gen, state, m = rng.generator(), r0, _FIRST_BLOCK
+    while law.exit_rates[state] > 0:
+        exps = gen.standard_exponential(m)
+        # cols lives until the next block's replaces it; inlined into the walk call, it
+        # left the heap trimmed and regrown per block (1.4x the page faults, 1.2 M jumps)
+        cols = np.searchsorted(law.edges, gen.random(m), side="right")
+        walk = _walk(law.table, cols, state)
+        state = int(walk[-1])
+        yield exps, walk
+        m = min(2 * m, _MAX_BLOCK)
+        # this block's draws and walk are freed before the next block's are made; held
+        # through them, they set the chain's peak RSS, 0.8 MB higher at 1.2 M jumps
+        del exps, walk
+
+
+class _ChainTimes:
+    """The jump times and states of one chain, timed and kept block by block.
+
+    A block's holding times are its exponentials divided by the exit rates of
+    the states they are spent in, and one cumulative sum, with the previous
+    block's last time added to the first, adds them in the order of a
+    jump-by-jump loop and so gives its bits.  The kept times and states are
+    copied into one buffer per array, which starts at the one initial entry
+    and grows in place (``ndarray.resize``) by exactly the entries each block
+    keeps, so the returned arrays own exactly-sized data.
+    """
+
+    def __init__(self, law: _ChainLaw, r0: int, horizon: float):
+        self.law, self.horizon, self.k, self.t = law, horizon, 1, 0.0
+        self.times = np.zeros(1)
+        self.states = np.full(1, r0, dtype=np.min_scalar_type(law.table.shape[0] - 1))
+
+    def add(self, exps: np.ndarray, walk: np.ndarray, out=None) -> bool:
+        """Keep one block's jumps; True when the chain is complete.
+
+        ``out=exps`` times the block in place of its exponentials.
+        """
+        before, after, k = walk[:-1], walk[1:], self.k
+        t_after = np.divide(exps, self.law.hold_rates[before], out=out)
+        t_after[0] += self.t
+        np.cumsum(t_after, out=t_after)
+        live = self.law.exit_rates[before] > 0
+        last = t_after[-1] >= self.horizon or not live.all()
+        kept = int(np.argmin(live & (t_after < self.horizon))) if last else exps.size
+        # resize reallocates the buffer itself, so no second array of the old size is
+        # held.  Blocks are copied in, never drawn into the buffer, so no view of a
+        # buffer outlives a block and none is left dangling if resize moves it
+        self.times.resize(k + kept, refcheck=False)
+        self.states.resize(k + kept, refcheck=False)
+        self.times[k : k + kept] = t_after[:kept]
+        self.states[k : k + kept] = after[:kept]
+        self.k, self.t = k + kept, t_after[-1]
+        return last
+
+    def path(self) -> ChainPath:
+        return ChainPath(self.times, self.states, self.horizon)
+
+
 def simulate_chain(
     qtilde: GeneratorMatrix,
     qhat: GeneratorMatrix,
@@ -190,82 +310,73 @@ def simulate_chain(
     row threshold of the cumulative kernel is one of its distinct values, so
     one searchsorted of a block's uniforms against those values picks, for
     every draw, a row of a threshold table that holds the jump map of every
-    state.  The maps compose pairwise into the states (:func:`_walk`), and one
-    cumulative sum of the holding times adds them in the same order as a
-    jump-by-jump loop and so gives the same bits.  The walk stops at the
-    first absorbing state or the first jump time at or past the horizon.
-
-    Each block's kept jump times and states are copied into one output buffer
-    per array.  A buffer starts at the one initial entry and grows in place
-    (``ndarray.resize``) by exactly the entries each block keeps, so it is
-    always the size of the chain so far and the returned arrays own
-    exactly-sized data.  States are compact codes of
-    ``np.min_scalar_type(n - 1)``: uint8 up to 256 states.
+    state.  The maps compose pairwise into the states (:func:`_walk`), and the
+    holding times overwrite the block's exponentials (:class:`_ChainTimes`).
+    The walk stops at the first absorbing state or the first jump time at or
+    past the horizon.  States are compact codes of ``np.min_scalar_type(n - 1)``:
+    uint8 up to 256 states.
     """
-    if not (eps > 0 and 0 < horizon < np.inf):
-        raise ValueError("eps and horizon must be positive and the horizon finite")
-    q = qtilde.rates / eps + qhat.rates
-    n = q.shape[0]
-    if not 0 <= r0 < n:
-        raise ValueError(f"initial state {r0} out of range")
-    kernel = q.copy()
-    np.fill_diagonal(kernel, 0.0)
-    # a state with no jump target never leaves, even if rounding left its exit rate > 0
-    exit_rates = np.where(kernel.max(axis=1) > 0, -np.diag(q), 0.0)
-    # an absorbing state's holding time is discarded; inf keeps it finite
-    hold_rates = np.where(exit_rates > 0, exit_rates, np.inf)
-    # row-wise jump kernel as cumulative probabilities; from its last target on
-    # a row reads exactly 1, so rounding cannot map a draw past the last state
-    cum = np.ones_like(kernel)
-    for i in np.flatnonzero(exit_rates > 0):
-        last = np.flatnonzero(kernel[i])[-1]
-        cum[i, :last] = np.cumsum(kernel[i, :last]) / exit_rates[i]
-    # column b of the table maps every state on a uniform u with edges[b - 1] <= u <
-    # edges[b]: cum[s, j] <= u exactly when cum[s, j] <= edges[b - 1], as cum[s, j]
-    # is an edge; column 0 serves u below every edge.  The edges are cum's distinct
-    # values in increasing order, np.unique's result without its import of numpy.ma
-    # (1.6 MB of RSS in a process whose first np.unique call this is)
-    edges = np.sort(cum, axis=None)
-    edges = edges[np.insert(edges[1:] != edges[:-1], 0, True)]
-    table = np.zeros((n, edges.size + 1), dtype=np.intp)
-    for s in range(n):
-        table[s, 1:] = np.searchsorted(cum[s], edges, side="right")
+    return _one_chain(_chain_law(qtilde, qhat, eps, r0, horizon), r0, horizon, rng)
 
-    gen = rng.generator()
-    times = np.zeros(1)
-    states = np.full(1, r0, dtype=np.min_scalar_type(n - 1))
-    k, t, state, m = 1, 0.0, r0, _FIRST_BLOCK
-    while exit_rates[state] > 0:
-        exps = gen.standard_exponential(m)
-        # cols lives until the next block's replaces it; inlined into the walk call, it
-        # left the heap trimmed and regrown per block (1.4x the page faults, 1.2 M jumps)
-        cols = np.searchsorted(edges, gen.random(m), side="right")
-        walk = _walk(table, cols, state)
-        before, after = walk[:-1], walk[1:]
-        # the holding times overwrite the exponentials; adding t to the first one
-        # gives the bits of a sum that starts at t
-        t_after = np.divide(exps, hold_rates[before], out=exps)
-        t_after[0] += t
-        np.cumsum(t_after, out=t_after)
-        live = exit_rates[before] > 0
-        last = t_after[-1] >= horizon or not live.all()
-        kept = int(np.argmin(live & (t_after < horizon))) if last else m
-        # resize reallocates the buffer itself, so no second array of the old size is
-        # held.  Blocks are copied in, never drawn into the buffer, so no view of a
-        # buffer outlives a block and none is left dangling if resize moves it
-        times.resize(k + kept, refcheck=False)
-        states.resize(k + kept, refcheck=False)
-        times[k : k + kept] = t_after[:kept]
-        states[k : k + kept] = after[:kept]
-        k += kept
-        if last:
+
+def _one_chain(law: _ChainLaw, r0: int, horizon: float, rng: RngStream) -> ChainPath:
+    chain = _ChainTimes(law, r0, horizon)
+    for exps, walk in _walk_blocks(law, r0, rng):
+        if chain.add(exps, walk, out=exps):
             break
-        t, state = t_after[-1], int(after[-1])
-        m = min(2 * m, _MAX_BLOCK)
-        # this block's draws and walk are freed before the next block's are made; held
-        # through them, they set the chain's peak RSS, 0.8 MB higher at 1.2 M jumps
-        del exps, t_after, walk, before, after
-    return ChainPath(times, states, horizon)
+        del exps, walk  # freed before the next block is drawn (see _walk_blocks)
+    return chain.path()
+
+
+def simulate_chains(
+    qtilde: GeneratorMatrix,
+    qhat: GeneratorMatrix,
+    eps_grid,
+    r0: int,
+    horizon: float,
+    rng: RngStream,
+) -> list[ChainPath]:
+    """``[simulate_chain(qtilde, qhat, eps, r0, horizon, rng) for eps in eps_grid]``, bit for bit.
+
+    When Qhat is zero and every eps has the same threshold table and absorbing
+    states, every eps draws the same pairs on ``rng`` and visits the same
+    states; only the holding times, exponential / (exit_rate / eps), differ.
+    The chains then share one walk, drawn until the last eps has crossed the
+    horizon, and each eps times its blocks from the shared exponentials.
+    Otherwise each eps walks its own chain.  :func:`chain_sampler` makes that
+    choice once for many paths.
+    """
+    return chain_sampler(qtilde, qhat, eps_grid, r0, horizon)(rng)
+
+
+def chain_sampler(qtilde: GeneratorMatrix, qhat: GeneratorMatrix, eps_grid, r0: int,
+                  horizon: float):
+    """``rng -> simulate_chains(qtilde, qhat, eps_grid, r0, horizon, rng)``.
+
+    The law of each eps, and whether the eps share one walk, are worked out
+    here, once for every path the sampler is called on.
+    """
+    laws = [_chain_law(qtilde, qhat, eps, r0, horizon) for eps in eps_grid]
+    shared = not np.any(qhat.rates) and all(
+        np.array_equal(law.edges, laws[0].edges)
+        and np.array_equal(law.table, laws[0].table)
+        and np.array_equal(law.exit_rates > 0, laws[0].exit_rates > 0)
+        for law in laws
+    )
+    if not (shared and laws):
+        return lambda rng: [_one_chain(law, r0, horizon, rng) for law in laws]
+
+    def sample(rng: RngStream) -> list[ChainPath]:
+        chains = [_ChainTimes(law, r0, horizon) for law in laws]
+        open_chains = chains
+        for exps, walk in _walk_blocks(laws[0], r0, rng):
+            open_chains = [c for c in open_chains if not c.add(exps, walk)]
+            if not open_chains:
+                break
+            del exps, walk
+        return [c.path() for c in chains]
+
+    return sample
 
 
 _CHUNK = 2**16  # path entries mapped or summed at a time by the two functions below

@@ -48,7 +48,9 @@ def test_traced_converge_counts_every_variate(tmp_path):
     m = _traced(tmp_path, "converge", "switching_single.cfg", "n_paths = 3\n")
     # switching_single: T = 1, dt = 0.02, k_trunc = 20; each path draws its slow noise once
     assert m["stable_noise.variates"] == 3 * 50 * 20
-    assert m["switching.chains"] == 3 * 5
+    # one generator per path for its slow noise and one for the chain walk its 5 eps share
+    # (switching.chains counts harness.simulate_chain calls, which converge no longer makes)
+    assert m["rng.generator_calls"] == 3 * 2
     # the tracer's config.load span wraps cli.load_config, which every command calls once
     assert m["config.load_s"] > 0
 

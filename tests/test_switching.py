@@ -18,6 +18,8 @@ from stablespde.switching import (
     aggregate_path,
     occupation_fractions,
     simulate_chain,
+    simulate_chains,
+    sorted_distinct,
     stationary_distribution,
 )
 
@@ -456,6 +458,112 @@ def test_simulate_chain_that_draws_no_block_returns_its_start(qtilde, r0):
     stream = _RecordingDraws(RngStream(4))
     simulate_chain(qtilde, zero, 0.5, r0, 7.0, stream)
     assert stream.requests == []
+
+
+class _CountingStream:
+    """A stream that counts the generators made from it."""
+
+    def __init__(self, rng):
+        self.rng, self.generators = rng, 0
+
+    def generator(self):
+        self.generators += 1
+        return self.rng.generator()
+
+
+def _assert_chains_match_per_eps(qtilde, qhat, eps_grid, r0, horizon, rng):
+    """simulate_chains against one simulate_chain per eps; returns the generators it made."""
+    stream = _CountingStream(rng)
+    chains = simulate_chains(qtilde, qhat, eps_grid, r0, horizon, stream)
+    assert len(chains) == len(eps_grid)
+    for eps, chain in zip(eps_grid, chains):
+        alone = simulate_chain(qtilde, qhat, eps, r0, horizon, rng)
+        assert chain.times.tobytes() == alone.times.tobytes()
+        assert chain.states.tobytes() == alone.states.tobytes()
+        assert chain.states.dtype == alone.states.dtype
+        assert chain.horizon == alone.horizon
+    return stream.generators
+
+
+# its cumulative jump probabilities round alike at eps 0.1 to 0.005, not at 0.007
+RING3 = GeneratorMatrix(np.array([[-3.0, 1.0, 2.0], [1.0, -2.0, 1.0], [2.0, 1.0, -3.0]]))
+RING3_EPS = [0.1, 0.05, 0.02, 0.01, 0.005]
+# absorbed in state 2 from state 1; alike at eps 0.5 to 0.02
+LEAKY3 = GeneratorMatrix(np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "qtilde, qhat, eps_grid, horizon, generators",
+    [
+        (SYM2, GeneratorMatrix.zero(2), [0.1, 0.05, 0.02, 0.01, 0.005], 1.0, 1),
+        (SYM2, GeneratorMatrix.zero(2), [0.5, 1e-3, 0.02], 5.0, 1),  # 10 to 5,000 jumps
+        (RING3, GeneratorMatrix.zero(3), RING3_EPS, 1.0, 1),
+        (RING3, GeneratorMatrix.zero(3), [*RING3_EPS, 0.007], 1.0, 6),  # tables differ
+        (QT_BLOCKS[1], GeneratorMatrix(np.array([[-0.5, 0.5], [0.2, -0.2]])), [0.1, 0.01], 2.0, 2),
+        (QT_BLOCKS[0], GeneratorMatrix.zero(2), [], 1.0, 0),
+    ],
+    ids=["sym2", "sym2-blocks", "ring3", "ring3-differ", "qhat", "empty"],
+)
+def test_simulate_chains_shares_one_walk_only_where_the_eps_agree(
+    qtilde, qhat, eps_grid, horizon, generators
+):
+    for j in range(5):
+        rng = RngStream(14, j)
+        assert _assert_chains_match_per_eps(qtilde, qhat, eps_grid, 0, horizon, rng) == generators
+
+
+def test_simulate_chains_shared_walk_into_an_absorbing_state():
+    eps_grid, horizon, zero = [0.5, 0.2, 0.1, 0.05, 0.02], 3.0, GeneratorMatrix.zero(3)
+    mixed = 0
+    for j in range(20):
+        rng = RngStream(15, j)
+        assert _assert_chains_match_per_eps(LEAKY3, zero, eps_grid, 0, horizon, rng) == 1
+        absorbed = [c.states[-1] == 2 for c in simulate_chains(LEAKY3, zero, eps_grid, 0,
+                                                                horizon, rng)]
+        mixed += absorbed[-1] and not absorbed[0]
+    # on some paths the smallest eps ends absorbed while the largest stops at the horizon
+    assert mixed > 0
+
+
+@st.composite
+def _chain_set_cases(draw):
+    """Generators of 2-5 states with some zero rates and perhaps an absorbing row,
+    Qhat zero or not, a grid of 1-6 eps, any start and a horizon of 0.1 to 2."""
+    n = draw(st.integers(2, 5))
+    absorbing = draw(st.sampled_from([None, *range(n)]))
+
+    def generator(scale):
+        off = scale * np.array(draw(st.lists(st.floats(0.01, 2.0), min_size=n * n,
+                                             max_size=n * n)))
+        off[list(draw(st.sets(st.integers(0, n * n - 1), max_size=n)))] = 0.0
+        off = off.reshape(n, n)
+        np.fill_diagonal(off, 0.0)
+        if absorbing is not None:
+            off[absorbing] = 0.0
+        return GeneratorMatrix(off - np.diag(off.sum(axis=1)))
+
+    qtilde = generator(1.0)
+    qhat = generator(0.1) if draw(st.booleans()) else GeneratorMatrix.zero(n)
+    eps_grid = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
+    return qtilde, qhat, eps_grid, draw(st.integers(0, n - 1)), draw(st.floats(0.1, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_chain_set_cases())
+@example(case=(SYM2, GeneratorMatrix.zero(2), [0.3, 1e-3, 0.05], 1, 2.0))
+@example(case=(RING3, GeneratorMatrix.zero(3), RING3_EPS, 2, 1.0))
+@example(case=(RING3, GeneratorMatrix.zero(3), [*RING3_EPS, 0.007], 1, 1.0))
+@example(case=(RING3, GeneratorMatrix(0.1 * RING3.rates), RING3_EPS, 0, 1.0))
+@example(case=(LEAKY3, GeneratorMatrix.zero(3), [0.5, 0.2, 0.1, 0.05, 0.02], 1, 2.0))
+def test_simulate_chains_equals_simulate_chain_per_eps(case):
+    _assert_chains_match_per_eps(*case, RngStream(16))
+
+
+@given(values=st.lists(st.one_of(st.integers(-5, 5), st.floats(-3.0, 3.0)), max_size=30))
+@example(values=[])
+def test_sorted_distinct_is_np_unique(values):
+    values = np.asarray(values, dtype=float)
+    assert sorted_distinct(values).tobytes() == np.unique(values).tobytes()
 
 
 def test_chain_path_keeps_integer_states_dtype():
