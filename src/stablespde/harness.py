@@ -7,10 +7,10 @@ limit) step on that one array, so their difference isolates the drift
 discrepancy; a fast-slow eps-system draws its fast noise per (path, eps) on the
 path's ``Z_NOISE_TAG`` substream.  The same slow noise drives the path at every
 eps (common random numbers), which makes the error columns strongly positively
-correlated and the monotone decrease visible at desk scale.  ``converge`` builds
-a switching path's chains at every eps before its eps loop, from one walk of the
-path's ``CHAIN_TAG`` substream where the eps can share it; ``simulate`` and
-``aggregate`` call ``simulate_chain`` once per path.
+correlated and the monotone decrease visible at desk scale.  A switching solve
+steps on a chain of :func:`_path_chains`, one walk of the path's ``CHAIN_TAG``
+substream for all eps that can share it (``simulate`` samples a one-eps grid);
+``aggregate`` calls ``simulate_chain``, the sampler's one-eps case, per path.
 
 ``_frozen_estimate`` is the one call site of the ergodic estimator: the
 config's frozen fast field, for the fast-slow averaged drift and for ``freeze``.
@@ -224,44 +224,39 @@ def _slow_noise(cfg: ExperimentConfig, stream: RngStream, grid: np.ndarray) -> n
 
 
 def _eps_system(cfg: ExperimentConfig, grid: np.ndarray):
-    """solve(eps, stream, noise, chain=None) -> (record, chain or None on fast-slow).
+    """solve(eps, stream, noise, chain) -> record: one eps-system path.
 
-    One eps-system path.  A switching solve steps on ``chain``, or when it is
-    None on the path's chain simulated at ``eps``.
+    A switching solve steps on ``chain``, the path's chain at ``eps`` from
+    :func:`_path_chains`; a fast-slow solve's chain is None.
     """
     op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
     if cfg.scenario == "fast-slow":
         y0, op_b, w_z = cfg.initial_fast_state(), cfg.op_b(), cfg.weights_z()
         slow, fast, n = cfg.slow_coupled_drift(), cfg.fast_coupled_drift(), grid.size - 1
 
-        def solve(eps, stream, noise, chain=None):
+        def solve(eps, stream, noise, chain):
             shape = (n, fast_substeps(cfg.dt, eps, cfg.c_sub), cfg.k_trunc)
             noise_z = draw_noise(cfg.beta, stream.substream(Z_NOISE_TAG), *shape)
             return solve_fast_slow(x0, y0, slow, fast, op_a, op_b, w_l, w_z, cfg.alpha, cfg.beta,
-                                   eps, grid, noise, noise_z), None
+                                   eps, grid, noise, noise_z)
 
         return solve
-    qt, qh = cfg.generator_pair()
     drift = cfg.regime_drift()
-
-    def solve(eps, stream, noise, chain=None):
-        if chain is None:
-            chain = simulate_chain(qt, qh, eps, cfg.r0 - 1, cfg.T, stream.substream(CHAIN_TAG))
-        return solve_switching_spde(x0, drift, op_a, w_l, cfg.alpha, chain, grid, noise), chain
-
-    return solve
+    return lambda eps, stream, noise, chain: solve_switching_spde(
+        x0, drift, op_a, w_l, cfg.alpha, chain, grid, noise
+    )
 
 
-def _path_chains(cfg: ExperimentConfig):
-    """chains(stream): the path's chain at every eps of the grid (Nones on fast-slow).
+def _path_chains(cfg: ExperimentConfig, eps_grid):
+    """chains(stream): the path's chain at every eps of ``eps_grid`` (Nones on fast-slow).
 
     The eps share one walk of the path's chain stream when they can
-    (:func:`.switching.simulate_chains`).
+    (:func:`.switching.chain_sampler`).
     """
     if cfg.scenario == "fast-slow":
-        return lambda stream: [None] * len(cfg.eps_grid)
+        return lambda stream: [None] * len(eps_grid)
     qt, qh = cfg.generator_pair()
-    sample = chain_sampler(qt, qh, cfg.eps_grid, cfg.r0 - 1, cfg.T)
+    sample = chain_sampler(qt, qh, eps_grid, cfg.r0 - 1, cfg.T)
     return lambda stream: sample(stream.substream(CHAIN_TAG))
 
 
@@ -308,15 +303,14 @@ def run_converge(cfg: ExperimentConfig):
     grid = _time_grid(cfg)
     chk = _checkpoint_idx(grid)
     solve_eps, solve_bar = _eps_system(cfg, grid), _averaged_system(cfg, grid)
-    chains = _path_chains(cfg)
+    chains = _path_chains(cfg, cfg.eps_grid)
     # per (eps, path): terminal (0) and checkpoint-sup (1) H-norm of the pair's difference
     results = np.empty((len(cfg.eps_grid), cfg.n_paths, 2))
     for j in range(cfg.n_paths):
         stream = RngStream(cfg.seed, j)
         noise = _slow_noise(cfg, stream, grid)
         for e, (eps, chain) in enumerate(zip(cfg.eps_grid, chains(stream))):
-            rec_eps, chain = solve_eps(eps, stream, noise, chain)
-            diff = rec_eps.states - solve_bar(chain, noise).states
+            diff = solve_eps(eps, stream, noise, chain).states - solve_bar(chain, noise).states
             norms = np.linalg.norm(diff[chk], axis=1)
             results[e, j] = norms[-1], norms.max()
     eps_arr = np.asarray(cfg.eps_grid, dtype=float)
@@ -449,9 +443,9 @@ def run_simulate(cfg: ExperimentConfig):
     Returns ((report, checks), TrajectoryRecord).
     """
     checked = _checked(cfg)
-    grid, stream = _time_grid(cfg), RngStream(cfg.seed, 0)
-    solve_eps = _eps_system(cfg, grid)
-    return checked, solve_eps(cfg.eps_grid[0], stream, _slow_noise(cfg, stream, grid))[0]
+    grid, stream, eps = _time_grid(cfg), RngStream(cfg.seed, 0), cfg.eps_grid[0]
+    (chain,) = _path_chains(cfg, [eps])(stream)
+    return checked, _eps_system(cfg, grid)(eps, stream, _slow_noise(cfg, stream, grid), chain)
 
 
 def synthesize_point(coeffs: np.ndarray, x: float) -> float:

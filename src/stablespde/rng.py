@@ -53,7 +53,7 @@ class RngStream:
 # chain drawing no values beyond the block it stops in.  On a single-class path (Qhat
 # = 0) each eps would draw the same pairs and visit the same states, so where the eps'
 # threshold tables agree one walk of the CHAIN_TAG substream serves them all, with the
-# bits of per-eps walks (switching.simulate_chains).
+# bits of per-eps walks (switching.chain_sampler; simulate_chain is its one-eps case).
 L_NOISE_TAG = 0  # slow-field noise L, k_trunc variates per grid step
 CHAIN_TAG = 1  # the switching chain, simulated by the harness
 Z_NOISE_TAG = 2  # fast-field noise Z, per (path, eps) or per frozen-fast run

@@ -316,45 +316,22 @@ def simulate_chain(
     past the horizon.  States are compact codes of ``np.min_scalar_type(n - 1)``:
     uint8 up to 256 states.
     """
-    return _one_chain(_chain_law(qtilde, qhat, eps, r0, horizon), r0, horizon, rng)
-
-
-def _one_chain(law: _ChainLaw, r0: int, horizon: float, rng: RngStream) -> ChainPath:
-    chain = _ChainTimes(law, r0, horizon)
-    for exps, walk in _walk_blocks(law, r0, rng):
-        if chain.add(exps, walk, out=exps):
-            break
-        del exps, walk  # freed before the next block is drawn (see _walk_blocks)
-    return chain.path()
-
-
-def simulate_chains(
-    qtilde: GeneratorMatrix,
-    qhat: GeneratorMatrix,
-    eps_grid,
-    r0: int,
-    horizon: float,
-    rng: RngStream,
-) -> list[ChainPath]:
-    """``[simulate_chain(qtilde, qhat, eps, r0, horizon, rng) for eps in eps_grid]``, bit for bit.
-
-    When Qhat is zero and every eps has the same threshold table and absorbing
-    states, every eps draws the same pairs on ``rng`` and visits the same
-    states; only the holding times, exponential / (exit_rate / eps), differ.
-    The chains then share one walk, drawn until the last eps has crossed the
-    horizon, and each eps times its blocks from the shared exponentials.
-    Otherwise each eps walks its own chain.  :func:`chain_sampler` makes that
-    choice once for many paths.
-    """
-    return chain_sampler(qtilde, qhat, eps_grid, r0, horizon)(rng)
+    return chain_sampler(qtilde, qhat, [eps], r0, horizon)(rng)[0]
 
 
 def chain_sampler(qtilde: GeneratorMatrix, qhat: GeneratorMatrix, eps_grid, r0: int,
                   horizon: float):
-    """``rng -> simulate_chains(qtilde, qhat, eps_grid, r0, horizon, rng)``.
+    """``rng -> [simulate_chain(qtilde, qhat, eps, r0, horizon, rng) for eps in eps_grid]``.
 
-    The law of each eps, and whether the eps share one walk, are worked out
-    here, once for every path the sampler is called on.
+    The law of each eps, and which eps share a walk, are worked out here, once
+    for every path the sampler is called on.  When Qhat is zero and every eps
+    has the same threshold table and absorbing states, every eps draws the same
+    pairs on ``rng`` and visits the same states; only the holding times,
+    exponential / (exit_rate / eps), differ.  Those eps then share one walk,
+    drawn until the last of them has crossed the horizon, and each times its
+    blocks from the shared exponentials.  Otherwise each eps walks its own
+    chain.  While one chain alone is open on a walk, it times each block in
+    place of the block's exponentials.
     """
     laws = [_chain_law(qtilde, qhat, eps, r0, horizon) for eps in eps_grid]
     shared = not np.any(qhat.rates) and all(
@@ -363,17 +340,20 @@ def chain_sampler(qtilde: GeneratorMatrix, qhat: GeneratorMatrix, eps_grid, r0: 
         and np.array_equal(law.exit_rates > 0, laws[0].exit_rates > 0)
         for law in laws
     )
-    if not (shared and laws):
-        return lambda rng: [_one_chain(law, r0, horizon, rng) for law in laws]
+    groups = [laws] if shared and laws else [[law] for law in laws]
 
     def sample(rng: RngStream) -> list[ChainPath]:
-        chains = [_ChainTimes(law, r0, horizon) for law in laws]
-        open_chains = chains
-        for exps, walk in _walk_blocks(laws[0], r0, rng):
-            open_chains = [c for c in open_chains if not c.add(exps, walk)]
-            if not open_chains:
-                break
-            del exps, walk
+        chains = []
+        for group in groups:
+            open_chains = [_ChainTimes(law, r0, horizon) for law in group]
+            chains += open_chains
+            for exps, walk in _walk_blocks(group[0], r0, rng):
+                alone = len(open_chains) == 1
+                open_chains = [c for c in open_chains
+                               if not c.add(exps, walk, out=exps if alone else None)]
+                if not open_chains:
+                    break
+                del exps, walk  # freed before the next block is drawn (see _walk_blocks)
         return [c.path() for c in chains]
 
     return sample

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 
@@ -53,6 +55,21 @@ def test_traced_converge_counts_every_variate(tmp_path):
     assert m["rng.generator_calls"] == 3 * 2
     # the tracer's config.load span wraps cli.load_config, which every command calls once
     assert m["config.load_s"] > 0
+
+
+def test_traced_aggregate_counts_a_chain_per_path(tmp_path):
+    m = _traced(tmp_path, "aggregate", "aggregate.cfg", "n_paths = 2\nT = 10.0\n")
+    # aggregate calls harness.simulate_chain once per path, the binding the tracer counts
+    assert m["switching.chains"] == 2
+    assert m["stable_noise.variates"] == 0
+    assert m["rng.generator_calls"] == 2
+
+
+@pytest.mark.parametrize("preset", ["switching_single.cfg", "switching_multiclass.cfg"])
+def test_traced_simulate_walks_one_chain(tmp_path, preset):
+    m = _traced(tmp_path, "simulate", preset, "")
+    # one generator for the path's slow noise and one for its chain walk at the first eps
+    assert m["rng.generator_calls"] == 2
 
 
 def test_traced_freeze_counts_every_variate(tmp_path):

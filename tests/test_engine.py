@@ -26,7 +26,7 @@ from stablespde.engine import (
     solve_frozen_fast,
     solve_switching_spde,
 )
-from stablespde.harness import _averaged_system, _eps_system, _time_grid
+from stablespde.harness import _averaged_system, _eps_system, _path_chains, _time_grid
 from stablespde.rng import CHAIN_TAG, L_NOISE_TAG, Z_NOISE_TAG, RngStream
 from stablespde.spectral import SpectralOperator, rod_operator
 from stablespde.stable_noise import (
@@ -599,13 +599,15 @@ def test_doubling_k_trunc_moves_the_pair_error_under_one_percent(preset):
     grid = _time_grid(cfg)
     pairs = [(c.k_trunc, _eps_system(c, grid), _averaged_system(c, grid))
              for c in _narrow_and_wide(cfg)]
+    path_chains = _path_chains(cfg, cfg.eps_grid)
     err_p = np.empty((2, len(cfg.eps_grid), 40))  # (width, eps, path)
     for j in range(40):
         stream = RngStream(cfg.seed, j)
         noise = slow_noise(stream, grid, 2 * K_NARROW, cfg.alpha)
+        chains = path_chains(stream)
         for w, (k, solve_eps, solve_bar) in enumerate(pairs):
-            for e, eps in enumerate(cfg.eps_grid):
-                rec, chain = solve_eps(eps, stream, noise[:, :k])
+            for e, (eps, chain) in enumerate(zip(cfg.eps_grid, chains)):
+                rec = solve_eps(eps, stream, noise[:, :k], chain)
                 err = rec.states[-1] - solve_bar(chain, noise[:, :k]).states[-1]
                 err_p[w, e, j] = np.linalg.norm(err) ** cfg.p
     narrow, wide = err_p.mean(axis=2)

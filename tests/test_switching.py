@@ -16,9 +16,9 @@ from stablespde.switching import (
     _walk,
     aggregate_generator,
     aggregate_path,
+    chain_sampler,
     occupation_fractions,
     simulate_chain,
-    simulate_chains,
     sorted_distinct,
     stationary_distribution,
 )
@@ -472,9 +472,9 @@ class _CountingStream:
 
 
 def _assert_chains_match_per_eps(qtilde, qhat, eps_grid, r0, horizon, rng):
-    """simulate_chains against one simulate_chain per eps; returns the generators it made."""
+    """chain_sampler against one simulate_chain per eps; returns the generators it made."""
     stream = _CountingStream(rng)
-    chains = simulate_chains(qtilde, qhat, eps_grid, r0, horizon, stream)
+    chains = chain_sampler(qtilde, qhat, eps_grid, r0, horizon)(stream)
     assert len(chains) == len(eps_grid)
     for eps, chain in zip(eps_grid, chains):
         alone = simulate_chain(qtilde, qhat, eps, r0, horizon, rng)
@@ -501,10 +501,13 @@ LEAKY3 = GeneratorMatrix(np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 0.0
         (RING3, GeneratorMatrix.zero(3), [*RING3_EPS, 0.007], 1.0, 6),  # tables differ
         (QT_BLOCKS[1], GeneratorMatrix(np.array([[-0.5, 0.5], [0.2, -0.2]])), [0.1, 0.01], 2.0, 2),
         (QT_BLOCKS[0], GeneratorMatrix.zero(2), [], 1.0, 0),
+        (RING3, GeneratorMatrix.zero(3), [0.01], 1.0, 1),
+        (QT_BLOCKS[1], GeneratorMatrix(np.array([[-0.5, 0.5], [0.2, -0.2]])), [0.01], 2.0, 1),
     ],
-    ids=["sym2", "sym2-blocks", "ring3", "ring3-differ", "qhat", "empty"],
+    ids=["sym2", "sym2-blocks", "ring3", "ring3-differ", "qhat", "empty", "one-eps",
+         "one-eps-qhat"],
 )
-def test_simulate_chains_shares_one_walk_only_where_the_eps_agree(
+def test_chain_sampler_shares_one_walk_only_where_the_eps_agree(
     qtilde, qhat, eps_grid, horizon, generators
 ):
     for j in range(5):
@@ -512,14 +515,14 @@ def test_simulate_chains_shares_one_walk_only_where_the_eps_agree(
         assert _assert_chains_match_per_eps(qtilde, qhat, eps_grid, 0, horizon, rng) == generators
 
 
-def test_simulate_chains_shared_walk_into_an_absorbing_state():
+def test_chain_sampler_shared_walk_into_an_absorbing_state():
     eps_grid, horizon, zero = [0.5, 0.2, 0.1, 0.05, 0.02], 3.0, GeneratorMatrix.zero(3)
     mixed = 0
     for j in range(20):
         rng = RngStream(15, j)
         assert _assert_chains_match_per_eps(LEAKY3, zero, eps_grid, 0, horizon, rng) == 1
-        absorbed = [c.states[-1] == 2 for c in simulate_chains(LEAKY3, zero, eps_grid, 0,
-                                                                horizon, rng)]
+        chains = chain_sampler(LEAKY3, zero, eps_grid, 0, horizon)(rng)
+        absorbed = [c.states[-1] == 2 for c in chains]
         mixed += absorbed[-1] and not absorbed[0]
     # on some paths the smallest eps ends absorbed while the largest stops at the horizon
     assert mixed > 0
@@ -555,7 +558,7 @@ def _chain_set_cases(draw):
 @example(case=(RING3, GeneratorMatrix.zero(3), [*RING3_EPS, 0.007], 1, 1.0))
 @example(case=(RING3, GeneratorMatrix(0.1 * RING3.rates), RING3_EPS, 0, 1.0))
 @example(case=(LEAKY3, GeneratorMatrix.zero(3), [0.5, 0.2, 0.1, 0.05, 0.02], 1, 2.0))
-def test_simulate_chains_equals_simulate_chain_per_eps(case):
+def test_chain_sampler_equals_simulate_chain_per_eps(case):
     _assert_chains_match_per_eps(*case, RngStream(16))
 
 
