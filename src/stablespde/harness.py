@@ -1,16 +1,16 @@
 """Experiment orchestration: assumption checks, coupled eps-sweeps, rate fits.
 
-Coupling convention: path j draws its slow noise once, on
-``RngStream(seed, j).substream(L_NOISE_TAG)`` under the stream contract of
-:mod:`.rng`, and both members of every pair (the eps-system and its averaged
-limit) step on that one array, so their difference isolates the drift
-discrepancy; a fast-slow eps-system draws its fast noise per (path, eps) on the
-path's ``Z_NOISE_TAG`` substream.  The same slow noise drives the path at every
-eps (common random numbers), which makes the error columns strongly positively
-correlated and the monotone decrease visible at desk scale.  A switching solve
-steps on a chain of :func:`_path_chains`, one walk of the path's ``CHAIN_TAG``
-substream for all eps that can share it (``simulate`` samples a one-eps grid);
-``aggregate`` calls ``simulate_chain``, the sampler's one-eps case, per path.
+Coupling convention: every draw of a ``converge`` or ``simulate`` path j is
+made by the ``draws`` of :func:`_eps_system` on ``RngStream(seed, j)``, under
+the stream contract of :mod:`.rng`: its slow noise once on the ``L_NOISE_TAG``
+substream, its chains on ``CHAIN_TAG`` (one walk for all eps that can share it)
+and, on fast-slow, its fast noise per eps on ``Z_NOISE_TAG``.  Both members of
+every pair (the eps-system and its averaged limit) step on that one slow noise
+array, so their difference isolates the drift discrepancy.  The same slow noise
+drives the path at every eps (common random numbers), which makes the error
+columns strongly positively correlated and the monotone decrease visible at
+desk scale.  ``simulate`` draws a one-eps grid; ``aggregate`` still calls
+``simulate_chain``, the sampler's one-eps case, once per path.
 
 ``_frozen_estimate`` is the one call site of the ergodic estimator: the
 config's frozen fast field, for the fast-slow averaged drift and for ``freeze``.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -218,50 +219,46 @@ def averaged_fast_slow_drift(cfg: ExperimentConfig, rng: RngStream):
     return SaturatingRegimeDrift([slow.gain_x], [slow.gain_y * m + slow.offset]), m, se
 
 
-def _slow_noise(cfg: ExperimentConfig, stream: RngStream, grid: np.ndarray) -> np.ndarray:
-    """The slow noise of the path on ``stream``: one row per grid step."""
-    return draw_noise(cfg.alpha, stream.substream(L_NOISE_TAG), grid.size - 1, cfg.k_trunc)
+def _eps_system(cfg: ExperimentConfig, grid: np.ndarray, eps_grid):
+    """(draws, solve): every drawn input of an eps-system path, and its solve on them.
 
-
-def _eps_system(cfg: ExperimentConfig, grid: np.ndarray):
-    """solve(eps, stream, noise, chain) -> record: one eps-system path.
-
-    A switching solve steps on ``chain``, the path's chain at ``eps`` from
-    :func:`_path_chains`; a fast-slow solve's chain is None.
+    ``draws(stream)`` makes every draw of the path on ``stream``: it returns the
+    slow noise, one row per grid step, and ``fast``, the path's fast input at each
+    eps of ``eps_grid``.  On the switching scenarios ``fast`` is the list of the
+    path's chains (:func:`.switching.chain_sampler`: eps share a walk when they
+    can); on fast-slow, a generator that draws each eps's fast noise only when the
+    eps is reached, so a path holds one eps's fast noise at a time.
+    ``solve(eps, noise, fast)`` steps one eps-system path on those inputs alone.
     """
-    op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
+    op_a, w_l, x0, n = cfg.op_a(), cfg.weights_l(), cfg.initial_state(), grid.size - 1
+
+    def slow_noise(stream):
+        return draw_noise(cfg.alpha, stream.substream(L_NOISE_TAG), n, cfg.k_trunc)
+
     if cfg.scenario == "fast-slow":
         y0, op_b, w_z = cfg.initial_fast_state(), cfg.op_b(), cfg.weights_z()
-        slow, fast, n = cfg.slow_coupled_drift(), cfg.fast_coupled_drift(), grid.size - 1
+        slow_drift, fast_drift = cfg.slow_coupled_drift(), cfg.fast_coupled_drift()
 
-        def solve(eps, stream, noise, chain):
-            shape = (n, fast_substeps(cfg.dt, eps, cfg.c_sub), cfg.k_trunc)
-            noise_z = draw_noise(cfg.beta, stream.substream(Z_NOISE_TAG), *shape)
-            return solve_fast_slow(x0, y0, slow, fast, op_a, op_b, w_l, w_z, cfg.alpha, cfg.beta,
-                                   eps, grid, noise, noise_z)
+        def draws(stream):
+            fast = (draw_noise(cfg.beta, stream.substream(Z_NOISE_TAG), n,
+                               fast_substeps(cfg.dt, eps, cfg.c_sub), cfg.k_trunc)
+                    for eps in eps_grid)
+            return slow_noise(stream), fast
 
-        return solve
-    drift = cfg.regime_drift()
-    return lambda eps, stream, noise, chain: solve_switching_spde(
-        x0, drift, op_a, w_l, cfg.alpha, chain, grid, noise
-    )
+        def solve(eps, noise, fast):
+            return solve_fast_slow(x0, y0, slow_drift, fast_drift, op_a, op_b, w_l, w_z,
+                                   cfg.alpha, cfg.beta, eps, grid, noise, fast)
 
-
-def _path_chains(cfg: ExperimentConfig, eps_grid):
-    """chains(stream): the path's chain at every eps of ``eps_grid`` (Nones on fast-slow).
-
-    The eps share one walk of the path's chain stream when they can
-    (:func:`.switching.chain_sampler`).
-    """
-    if cfg.scenario == "fast-slow":
-        return lambda stream: [None] * len(eps_grid)
+        return draws, solve
     qt, qh = cfg.generator_pair()
-    sample = chain_sampler(qt, qh, eps_grid, cfg.r0 - 1, cfg.T)
-    return lambda stream: sample(stream.substream(CHAIN_TAG))
+    sample, drift = chain_sampler(qt, qh, eps_grid, cfg.r0 - 1, cfg.T), cfg.regime_drift()
+    return (lambda stream: (slow_noise(stream), sample(stream.substream(CHAIN_TAG))),
+            lambda eps, noise, fast: solve_switching_spde(x0, drift, op_a, w_l, cfg.alpha, fast,
+                                                          grid, noise))
 
 
 def _averaged_system(cfg: ExperimentConfig, grid: np.ndarray):
-    """solve(chain, noise): the averaged limit coupled to the eps-system path of ``chain``."""
+    """solve(fast, noise): the averaged limit coupled to the eps-system path of ``fast``."""
     op_a, w_l, x0 = cfg.op_a(), cfg.weights_l(), cfg.initial_state()
     if cfg.scenario == "switching-multiclass":
         part = cfg.class_partition()
@@ -270,15 +267,15 @@ def _averaged_system(cfg: ExperimentConfig, grid: np.ndarray):
         # the averaged equation rides the aggregated chain of the same path:
         # a concrete coupling of the limit chain, as the class process of the
         # eps-chain converges weakly to it
-        return lambda chain, noise: solve_switching_spde(
-            x0, class_drift, op_a, w_l, cfg.alpha, aggregate_path(chain, part), grid, noise
+        return lambda fast, noise: solve_switching_spde(
+            x0, class_drift, op_a, w_l, cfg.alpha, aggregate_path(fast, part), grid, noise
         )
     if cfg.scenario == "switching-single":
         nu = stationary_distribution(cfg.generator_pair()[0])
         averaged = nu_average_drift(cfg.regime_drift(), nu)
     else:
         averaged, _, _ = averaged_fast_slow_drift(cfg, RngStream(cfg.seed, ESTIMATOR_STREAM))
-    return lambda chain, noise: solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, noise)
+    return lambda fast, noise: solve_averaged_spde(x0, averaged, op_a, w_l, cfg.alpha, grid, noise)
 
 
 def _fit_or_notice(what: str, fit, *args):
@@ -302,17 +299,20 @@ def run_converge(cfg: ExperimentConfig):
     checked = _checked(cfg)
     grid = _time_grid(cfg)
     chk = _checkpoint_idx(grid)
-    solve_eps, solve_bar = _eps_system(cfg, grid), _averaged_system(cfg, grid)
-    chains = _path_chains(cfg, cfg.eps_grid)
-    # per (eps, path): terminal (0) and checkpoint-sup (1) H-norm of the pair's difference
-    results = np.empty((len(cfg.eps_grid), cfg.n_paths, 2))
+    draws, solve_eps = _eps_system(cfg, grid, cfg.eps_grid)
+    solve_bar = _averaged_system(cfg, grid)
+
+    def pair_norms(noise, eps, fast):
+        """Terminal and checkpoint-sup H-norm of the (path, eps) pair's difference."""
+        diff = solve_eps(eps, noise, fast).states - solve_bar(fast, noise).states
+        norms = np.linalg.norm(diff[chk], axis=1)
+        return norms[-1], norms.max()
+
+    results = np.empty((len(cfg.eps_grid), cfg.n_paths, 2))  # (eps, path, norm)
     for j in range(cfg.n_paths):
-        stream = RngStream(cfg.seed, j)
-        noise = _slow_noise(cfg, stream, grid)
-        for e, (eps, chain) in enumerate(zip(cfg.eps_grid, chains(stream))):
-            diff = solve_eps(eps, stream, noise, chain).states - solve_bar(chain, noise).states
-            norms = np.linalg.norm(diff[chk], axis=1)
-            results[e, j] = norms[-1], norms.max()
+        noise, fast = draws(RngStream(cfg.seed, j))
+        # map drops each eps's fast input before the next one is drawn; a loop target would not
+        results[:, j] = list(map(partial(pair_norms, noise), cfg.eps_grid, fast))
     eps_arr = np.asarray(cfg.eps_grid, dtype=float)
     moments = [np.array([p_moment(r[:, c], cfg.p) for r in results]) for c in (0, 1)]
     finite = np.isfinite(results).all(axis=(1, 2)) & np.isfinite(moments).all(axis=(0, 2))
@@ -443,9 +443,9 @@ def run_simulate(cfg: ExperimentConfig):
     Returns ((report, checks), TrajectoryRecord).
     """
     checked = _checked(cfg)
-    grid, stream, eps = _time_grid(cfg), RngStream(cfg.seed, 0), cfg.eps_grid[0]
-    (chain,) = _path_chains(cfg, [eps])(stream)
-    return checked, _eps_system(cfg, grid)(eps, stream, _slow_noise(cfg, stream, grid), chain)
+    draws, solve = _eps_system(cfg, _time_grid(cfg), cfg.eps_grid[:1])
+    noise, (fast,) = draws(RngStream(cfg.seed, 0))
+    return checked, solve(cfg.eps_grid[0], noise, fast)
 
 
 def synthesize_point(coeffs: np.ndarray, x: float) -> float:

@@ -65,11 +65,29 @@ def test_traced_aggregate_counts_a_chain_per_path(tmp_path):
     assert m["rng.generator_calls"] == 2
 
 
-@pytest.mark.parametrize("preset", ["switching_single.cfg", "switching_multiclass.cfg"])
-def test_traced_simulate_walks_one_chain(tmp_path, preset):
+@pytest.mark.parametrize("preset", ["switching_single.cfg", "switching_multiclass.cfg",
+                                    "fast_slow.cfg"])
+def test_traced_simulate_draws_each_stream_once(tmp_path, preset):
     m = _traced(tmp_path, "simulate", preset, "")
-    # one generator for the path's slow noise and one for its chain walk at the first eps
+    # one generator for the path's slow noise and one for its chain walk or, on fast_slow,
+    # its fast noise at the first eps
     assert m["rng.generator_calls"] == 2
+    # T = 1, dt = 0.02, k_trunc = 20: 50 steps x 20 modes of slow noise, and on fast_slow
+    # 50 steps x 1 substep x 20 modes of fast noise at eps = 0.1
+    fast = 50 * 1 * 20 if preset == "fast_slow.cfg" else 0
+    assert m["stable_noise.variates"] == 50 * 20 + fast
+
+
+def test_traced_fast_slow_converge_counts_every_variate(tmp_path):
+    m = _traced(tmp_path, "converge", "fast_slow.cfg", "n_paths = 3\n")
+    # per path one slow draw and one fast draw per eps of [0.1, 0.02, 0.005], plus the
+    # estimator's 4 replications for the averaged drift
+    assert m["rng.generator_calls"] == 3 * (1 + 3) + 4
+    # 50 steps x 20 modes slow, and 1, 2 and 8 fast substeps per step at the three eps;
+    # each estimator replication takes 1,200 frozen-fast steps of 20 modes
+    assert m["stable_noise.variates"] == 3 * (1000 + 1000 + 2000 + 8000) + 4 * 1200 * 20
+    # one eps-system and one averaged solve per (path, eps), plus the 4 frozen-fast runs
+    assert m["engine.solves"] == 3 * 3 * 2 + 4
 
 
 def test_traced_freeze_counts_every_variate(tmp_path):

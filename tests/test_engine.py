@@ -26,7 +26,7 @@ from stablespde.engine import (
     solve_frozen_fast,
     solve_switching_spde,
 )
-from stablespde.harness import _averaged_system, _eps_system, _path_chains, _time_grid
+from stablespde.harness import _averaged_system, _eps_system, _time_grid
 from stablespde.rng import CHAIN_TAG, L_NOISE_TAG, Z_NOISE_TAG, RngStream
 from stablespde.spectral import SpectralOperator, rod_operator
 from stablespde.stable_noise import (
@@ -597,17 +597,17 @@ def test_wider_fast_slow_solve_keeps_the_narrow_solve_bit_for_bit():
 def test_doubling_k_trunc_moves_the_pair_error_under_one_percent(preset):
     cfg = load_config(CONFIG_DIR / preset)
     grid = _time_grid(cfg)
-    pairs = [(c.k_trunc, _eps_system(c, grid), _averaged_system(c, grid))
+    pairs = [(c.k_trunc, _eps_system(c, grid, cfg.eps_grid)[1], _averaged_system(c, grid))
              for c in _narrow_and_wide(cfg)]
-    path_chains = _path_chains(cfg, cfg.eps_grid)
+    draws = _eps_system(cfg, grid, cfg.eps_grid)[0]
     err_p = np.empty((2, len(cfg.eps_grid), 40))  # (width, eps, path)
     for j in range(40):
         stream = RngStream(cfg.seed, j)
         noise = slow_noise(stream, grid, 2 * K_NARROW, cfg.alpha)
-        chains = path_chains(stream)
+        chains = draws(stream)[1]
         for w, (k, solve_eps, solve_bar) in enumerate(pairs):
             for e, (eps, chain) in enumerate(zip(cfg.eps_grid, chains)):
-                rec = solve_eps(eps, stream, noise[:, :k], chain)
+                rec = solve_eps(eps, noise[:, :k], chain)
                 err = rec.states[-1] - solve_bar(chain, noise[:, :k]).states[-1]
                 err_p[w, e, j] = np.linalg.norm(err) ** cfg.p
     narrow, wide = err_p.mean(axis=2)
